@@ -27,14 +27,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import rational
 from .nets import folner_net
 from .operators import (
     Measure,
     OperatorMatrix,
     adjoint_matrix,
+    convex_combination,
     decomposition_check,
     fixed_space,
     invariant_measures,
@@ -48,6 +47,7 @@ from .transforms import (
     TransSemigroup,
     generate_closure,
     kernel,
+    restriction_epimorphism,
 )
 
 
@@ -79,13 +79,12 @@ class MatrixSemigroup:
     """A multiplication-closed list of exact matrices.
 
     When the elements are pushforwards of deterministic maps, ``bridge``
-    holds the transformation semigroup and the Cayley table is shared:
-    pushforward(s o t) = pushforward(s) @ pushforward(t), so the matrix
-    product of elements i and j sits at the same table entry.
+    holds the transformation semigroup with the same element order:
+    pushforward(s o t) = pushforward(s) @ pushforward(t), so the bridge's
+    generator graphs and Cayley table index the matrix products too.
     """
 
     elements: tuple[OperatorMatrix, ...]
-    cayley: np.ndarray
     bridge: TransSemigroup | None = None
 
     @property
@@ -100,10 +99,10 @@ def koehler(sys: FiniteSystem, max_elements: int | None = None,
     mats = tuple(adjoint_matrix(t) for t in sg.elements)
     check = range(sg.size) if sg.size <= 64 else sg.generator_indices
     for i in check:
-        for j in sg.generator_indices:
-            if mats[i] @ mats[j] != mats[sg.cayley[i, j]]:
+        for k, j in enumerate(sg.generator_indices):
+            if mats[i] @ mats[j] != mats[sg.right[i, k]]:
                 raise AssertionError("pushforward bridge is not multiplicative")
-    return MatrixSemigroup(mats, sg.cayley, bridge=sg)
+    return MatrixSemigroup(mats, bridge=sg)
 
 
 def power_periodicity(t: Transformation) -> tuple[int, int, list[Transformation]]:
@@ -145,14 +144,6 @@ def _convolve(a: dict[Transformation, Fraction],
     return out
 
 
-def _weights_to_matrix(weights: dict[Transformation, Fraction]) -> OperatorMatrix:
-    items = sorted(weights.items(), key=lambda kv: kv[0].images)
-    acc = adjoint_matrix(items[0][0]).scale(items[0][1])
-    for t, w in items[1:]:
-        acc = acc + adjoint_matrix(t).scale(w)
-    return acc
-
-
 @dataclass(frozen=True)
 class ZeroCertificate:
     """A verified zero of the convex Köhler semigroup.
@@ -179,21 +170,21 @@ class ZeroSearchResult:
 
 
 def _certify(weights: dict[Transformation, Fraction],
-             q: OperatorMatrix, sys: FiniteSystem) -> ZeroCertificate | None:
-    """Exact zero identities against every generator, or None."""
+             sys: FiniteSystem) -> ZeroCertificate | None:
+    """Q = the convex combination of the weighted pushforwards, certified
+    by exact zero identities against every generator, or None."""
+    total = sum(weights.values())
+    if total != 1 or any(w < 0 for w in weights.values()):
+        return None
+    witness = tuple(sorted(weights.items(), key=lambda kv: kv[0].images))
+    q = convex_combination((adjoint_matrix(t), w) for t, w in witness)
     checks = []
     for name, g in sys.generators:
         a = adjoint_matrix(g)
         if a @ q != q or q @ a != q:
             return None
         checks.append(f"A[{name}] Q = Q A[{name}] = Q")
-    total = sum(weights.values())
-    if total != 1 or any(w < 0 for w in weights.values()):
-        return None
-    if _weights_to_matrix(weights) != q:
-        return None
     checks.append("Q is a convex combination of semigroup pushforwards")
-    witness = tuple(sorted(weights.items(), key=lambda kv: kv[0].images))
     return ZeroCertificate(q, witness, tuple(checks))
 
 
@@ -203,8 +194,7 @@ def _zero_by_cesaro_product(sys: FiniteSystem) -> ZeroCertificate:
     for g in sys.generator_maps:
         w = cesaro_limit_of_map(g)
         weights = w if weights is None else _convolve(weights, w)
-    q = _weights_to_matrix(weights)
-    cert = _certify(weights, q, sys)
+    cert = _certify(weights, sys)
     if cert is None:
         raise AssertionError("Cesàro product failed on commuting generators")
     return cert
@@ -227,7 +217,7 @@ def _zero_by_word_average(sys: FiniteSystem, max_len: int) -> ZeroCertificate | 
             counts[t] = counts.get(t, 0) + c
         total = sum(counts.values())
         weights = {t: Fraction(c, total) for t, c in counts.items()}
-        cert = _certify(weights, _weights_to_matrix(weights), sys)
+        cert = _certify(weights, sys)
         if cert is not None:
             return cert
     return None
@@ -243,11 +233,8 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     mats = [adjoint_matrix(t) for t in sg.elements]
     m = sg.size
     n = sys.n
-    table = sg.cayley
     rows = []
-    for gi in sg.generator_indices:
-        left = [int(table[gi, i]) for i in range(m)]
-        right = [int(table[i, gi]) for i in range(m)]
+    for left, right in zip(sg.left.T.tolist(), sg.right.T.tolist()):
         for r in range(n):
             for c in range(n):
                 rows.append(tuple(
@@ -262,7 +249,7 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     if solution is None:
         return None
     weights = {sg.elements[i]: w for i, w in enumerate(solution) if w > 0}
-    cert = _certify(weights, _weights_to_matrix(weights), sys)
+    cert = _certify(weights, sys)
     if cert is None:
         raise AssertionError("feasible point failed exact verification")
     return cert
@@ -378,33 +365,11 @@ def jacobs(sys: FiniteSystem, mu: Measure,
         pushed = Measure(adjoint_matrix(g).apply(mu.weights))
         if pushed != mu:
             raise ValueError(f"measure is not invariant under generator {name!r}")
-    support = sorted(mu.support)
-    pos = {x: i for i, x in enumerate(support)}
-    kg = koehler(sys, max_elements)
-    sg = kg.bridge
-    restricted = []
-    for t in sg.elements:
-        restricted.append(tuple(pos[t(x)] for x in support))
-    ordered = sorted(set(restricted))
-    index = {r: i for i, r in enumerate(ordered)}
-    element_map = tuple(index[r] for r in restricted)
-    mats = tuple(adjoint_matrix(Transformation(r)) for r in ordered)
-    k = len(ordered)
-    table = np.empty((k, k), dtype=np.int32)
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            table[i, j] = index[tuple(a[y] for y in b)]
-    table.setflags(write=False)
-    phi = np.asarray(element_map, dtype=np.int64)
-    if not np.array_equal(phi[sg.cayley], table[np.ix_(phi, phi)]):
-        raise AssertionError("Jacobs restriction is not multiplicative")
-    checked = sg.size * sg.size
-    bridge = TransSemigroup(
-        elements=tuple(Transformation(r) for r in ordered),
-        cayley=table,
-        generator_indices=tuple(sorted({element_map[i] for i in sg.generator_indices})),
-    )
-    return JacobsResult(MatrixSemigroup(mats, table, bridge), element_map, checked)
+    restriction = restriction_epimorphism(koehler(sys, max_elements).bridge, mu.support)
+    bridge = restriction.target
+    mats = tuple(adjoint_matrix(t) for t in bridge.elements)
+    return JacobsResult(MatrixSemigroup(mats, bridge), restriction.element_map,
+                        restriction.checked_identities)
 
 
 @dataclass(frozen=True)

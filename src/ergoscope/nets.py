@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .operators import OperatorMatrix, convex_combination
-from .rational import ZERO
+from .rational import ZERO, max_abs
 
 
 def matrix_powers(m: OperatorMatrix, count: int) -> list[OperatorMatrix]:
@@ -233,7 +233,7 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
                     defect = ((eye - g) @ step.matrix)
                 else:
                     defect = (step.matrix @ (eye - g))
-                worst = max((abs(x) for row in defect.rows for x in row), default=ZERO)
+                worst = max_abs(defect.rows)
                 trace.append(DefectRecord(step.descriptor, gname, s, worst))
     verdict = NetVerdict("undetermined", side, tuple(trace))
     worst_by_step = verdict.worst_by_step()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -79,45 +79,27 @@ class Transformation:
 
 
 def _compose_tuples(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a[y] for y in b)
-
-
-def _cayley_table(elems: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """cayley[i][j] = index of elems[i] o elems[j]."""
-    m = len(elems)
-    # Vectorized path: pack image tuples into int64 keys.
-    if m * m > 250_000 and n > 0 and n.bit_length() * n <= 62:
-        arr = np.array(elems, dtype=np.int64)
-        powers = (max(n, 2) ** np.arange(n)).astype(np.int64)
-        keys = arr @ powers
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        table = np.empty((m, m), dtype=np.int32)
-        for i in range(m):
-            composed_keys = arr[i][arr] @ powers
-            table[i] = order[np.searchsorted(sorted_keys, composed_keys)]
-    else:
-        index = {t: i for i, t in enumerate(elems)}
-        table = np.empty((m, m), dtype=np.int32)
-        for i, a in enumerate(elems):
-            row = table[i]
-            for j, b in enumerate(elems):
-                row[j] = index[_compose_tuples(a, b)]
-    table.setflags(write=False)
-    return table
+    return tuple(map(a.__getitem__, b))
 
 
 @dataclass(frozen=True, eq=False)
 class TransSemigroup:
-    """A composition-closed set of transformations with its Cayley table.
+    """A composition-closed set of transformations with its generator graphs.
+
+    ``right[i, k]`` is the index of ``elements[i] o g_k`` and ``left[i, k]``
+    the index of ``g_k o elements[i]``, where ``g_k`` is the element at
+    ``generator_indices[k]``.  The two graphs determine the whole
+    multiplication (Froidure & Pin 1997) in O(m * g) space; the dense
+    table ``cayley`` is derived from them on first use.
 
     Elements are ordered lexicographically by image tuple, so two runs on
     the same generators produce identical objects.
     """
 
     elements: tuple[Transformation, ...]
-    cayley: np.ndarray
     generator_indices: tuple[int, ...]
+    right: np.ndarray
+    left: np.ndarray
 
     @property
     def size(self) -> int:
@@ -127,20 +109,59 @@ class TransSemigroup:
     def degree(self) -> int:
         return self.elements[0].degree
 
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """cayley[i][j] = index of elements[i] o elements[j] (m x m, lazy).
+
+        Every element is a generator or a right translate s o g_k of an
+        element reached before it, so its column is right[column(s), k].
+        """
+        table = np.empty((self.size, self.size), dtype=np.int32)
+        reached = np.zeros(self.size, dtype=bool)
+        for k, j in enumerate(self.generator_indices):
+            table[:, j] = self.right[:, k]
+            reached[j] = True
+        queue = list(self.generator_indices)
+        for s in queue:
+            for k, j in enumerate(self.right[s].tolist()):
+                if not reached[j]:
+                    table[:, j] = self.right[table[:, s], k]
+                    reached[j] = True
+                    queue.append(j)
+        table.setflags(write=False)
+        return table
+
     def index_of(self, t: Transformation) -> int:
         for i, e in enumerate(self.elements):
             if e == t:
                 return i
         raise KeyError(t)
 
-    def compose_indices(self, i: int, j: int) -> int:
-        return int(self.cayley[i, j])
-
     def identity_index(self) -> int | None:
         for i, e in enumerate(self.elements):
             if e.is_identity:
                 return i
         return None
+
+
+def _semigroup(ordered: list[tuple[int, ...]], gen_tuples) -> TransSemigroup:
+    """The semigroup on sorted, distinct image tuples that ``gen_tuples`` generate."""
+    index = {t: i for i, t in enumerate(ordered)}
+    generator_indices = tuple(sorted({index[t] for t in gen_tuples}))
+    gens = [ordered[i] for i in generator_indices]
+
+    def graph(product) -> np.ndarray:
+        out = np.array([[index[product(t, g)] for g in gens] for t in ordered],
+                       dtype=np.int32)
+        out.setflags(write=False)
+        return out
+
+    return TransSemigroup(
+        elements=tuple(Transformation(t) for t in ordered),
+        generator_indices=generator_indices,
+        right=graph(_compose_tuples),
+        left=graph(lambda t, g: _compose_tuples(g, t)),
+    )
 
 
 def generate_closure(
@@ -159,6 +180,8 @@ def generate_closure(
         raise ValueError("generators act on state sets of different sizes")
     cap = element_cap() if max_elements is None else max_elements
 
+    # Every product of generators is a chain of right translates of a
+    # generator, so right translates alone reach the whole closure.
     gen_tuples = [g.images for g in gens]
     elems: set[tuple[int, ...]] = set(gen_tuples)
     frontier = list(elems)
@@ -166,22 +189,29 @@ def generate_closure(
         fresh = []
         for t in frontier:
             for g in gen_tuples:
-                for c in (_compose_tuples(g, t), _compose_tuples(t, g)):
-                    if c not in elems:
-                        elems.add(c)
-                        fresh.append(c)
+                c = _compose_tuples(t, g)
+                if c not in elems:
+                    elems.add(c)
+                    fresh.append(c)
             if len(elems) > cap:
                 raise SizeCapError(
                     f"semigroup closure exceeds element cap {cap}"
                 )
         frontier = fresh
-    ordered = sorted(elems)
-    index = {t: i for i, t in enumerate(ordered)}
-    return TransSemigroup(
-        elements=tuple(Transformation(t) for t in ordered),
-        cayley=_cayley_table(ordered, n),
-        generator_indices=tuple(sorted({index[t] for t in gen_tuples})),
-    )
+    return _semigroup(sorted(elems), gen_tuples)
+
+
+def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:
+    """S^1 a S^1: everything reached from a by left and right generator steps."""
+    members = {a}
+    frontier = [a]
+    while frontier:
+        fresh = set(sg.left[frontier].ravel().tolist())
+        fresh |= set(sg.right[frontier].ravel().tolist())
+        fresh -= members
+        members |= fresh
+        frontier = list(fresh)
+    return frozenset(members)
 
 
 def kernel(sg: TransSemigroup) -> frozenset[int]:
@@ -191,31 +221,28 @@ def kernel(sg: TransSemigroup) -> frozenset[int]:
     product lies in every ideal, and its principal ideal is contained in
     every ideal, hence equals their intersection.
     """
-    table = sg.cayley
-    m = sg.size
-    p = 0
-    for x in range(1, m):
-        p = int(table[p, x])
-    left = np.unique(table[:, p])
-    members = {p} | set(left.tolist()) | set(table[p, :].tolist())
-    members |= set(np.unique(table[left, :]).tolist())
-    return frozenset(members)
+    p = sg.elements[0].images
+    for e in sg.elements[1:]:
+        p = _compose_tuples(p, e.images)
+    return principal_ideal(sg, sg.index_of(Transformation(p)))
 
 
 def right_zeros(sg: TransSemigroup) -> frozenset[int]:
-    """All q with s * q = q for every s (columns constant in the table)."""
-    table = sg.cayley
-    idx = np.arange(sg.size)
-    mask = (table == idx[np.newaxis, :]).all(axis=0)
-    return frozenset(np.nonzero(mask)[0].tolist())
+    """All q with s * q = q for every s.
+
+    It holds for all of S because it holds for every generator s.
+    """
+    idx = np.arange(sg.size)[:, np.newaxis]
+    return frozenset(np.nonzero((sg.left == idx).all(axis=1))[0].tolist())
 
 
 def left_zeros(sg: TransSemigroup) -> frozenset[int]:
-    """All q with q * s = q for every s (rows constant in the table)."""
-    table = sg.cayley
-    idx = np.arange(sg.size)
-    mask = (table == idx[:, np.newaxis]).all(axis=1)
-    return frozenset(np.nonzero(mask)[0].tolist())
+    """All q with q * s = q for every s.
+
+    It holds for all of S because it holds for every generator s.
+    """
+    idx = np.arange(sg.size)[:, np.newaxis]
+    return frozenset(np.nonzero((sg.right == idx).all(axis=1))[0].tolist())
 
 
 def zero(sg: TransSemigroup) -> int | None:
@@ -228,17 +255,19 @@ def zero(sg: TransSemigroup) -> int | None:
 
 
 def idempotents(sg: TransSemigroup) -> frozenset[int]:
-    table = sg.cayley
-    idx = np.arange(sg.size)
-    return frozenset(np.nonzero(table[idx, idx] == idx)[0].tolist())
+    return frozenset(
+        i for i, e in enumerate(sg.elements)
+        if _compose_tuples(e.images, e.images) == e.images
+    )
 
 
 def center(sg: TransSemigroup) -> frozenset[int]:
-    """Elements commuting with every element (the algebraic center)."""
-    table = sg.cayley
-    return frozenset(
-        i for i in range(sg.size) if np.array_equal(table[i, :], table[:, i])
-    )
+    """Elements commuting with every element (the algebraic center).
+
+    It holds for all of S because it holds for every generator.
+    """
+    mask = (sg.left == sg.right).all(axis=1)
+    return frozenset(np.nonzero(mask)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -266,6 +295,15 @@ def _verify_multiplicative(
     return sg.size * sg.size
 
 
+def _image_morphism(sg: TransSemigroup, images: list[tuple[int, ...]]) -> SemigroupMorphism:
+    """The map elements[i] -> images[i] onto the semigroup of the images, verified."""
+    target = _semigroup(sorted(set(images)), [images[gi] for gi in sg.generator_indices])
+    index = {t.images: i for i, t in enumerate(target.elements)}
+    element_map = tuple(index[t] for t in images)
+    checked = _verify_multiplicative(sg, target, element_map)
+    return SemigroupMorphism(sg.size, target, element_map, checked)
+
+
 def restriction_epimorphism(sg: TransSemigroup, subset) -> SemigroupMorphism:
     """Restrict every element to an invariant subset of states.
 
@@ -286,16 +324,7 @@ def restriction_epimorphism(sg: TransSemigroup, subset) -> SemigroupMorphism:
     restricted = [
         tuple(reindex[e(x)] for x in states) for e in sg.elements
     ]
-    ordered = sorted(set(restricted))
-    index = {t: i for i, t in enumerate(ordered)}
-    element_map = tuple(index[t] for t in restricted)
-    target = TransSemigroup(
-        elements=tuple(Transformation(t) for t in ordered),
-        cayley=_cayley_table(ordered, len(states)),
-        generator_indices=tuple(sorted({element_map[gi] for gi in sg.generator_indices})),
-    )
-    checked = _verify_multiplicative(sg, target, element_map)
-    return SemigroupMorphism(sg.size, target, element_map, checked)
+    return _image_morphism(sg, restricted)
 
 
 def factor_epimorphism(sg: TransSemigroup, phi) -> SemigroupMorphism:
@@ -330,48 +359,22 @@ def factor_epimorphism(sg: TransSemigroup, phi) -> SemigroupMorphism:
         for c, members in classes.items():
             images[c] = phi[e(members[0])]
         induced.append(tuple(images))
-    ordered = sorted(set(induced))
-    index = {t: i for i, t in enumerate(ordered)}
-    element_map = tuple(index[t] for t in induced)
-    target = TransSemigroup(
-        elements=tuple(Transformation(t) for t in ordered),
-        cayley=_cayley_table(ordered, k),
-        generator_indices=tuple(sorted({element_map[gi] for gi in sg.generator_indices})),
-    )
-    checked = _verify_multiplicative(sg, target, element_map)
-    return SemigroupMorphism(sg.size, target, element_map, checked)
+    return _image_morphism(sg, induced)
 
 
 def enumerate_all_ideals(sg: TransSemigroup) -> list[frozenset[int]]:
     """Every nonempty two-sided ideal, by brute force over subsets.
 
+    A subset is an ideal when both generator graphs map it into itself.
     Exponential in the semigroup size; only for small oracles.
     """
     m = sg.size
     if m > 20:
         raise ValueError("subset enumeration is only feasible for small semigroups")
-    table = sg.cayley
+    steps = [set(sg.left[q].tolist()) | set(sg.right[q].tolist()) for q in range(m)]
     ideals = []
     for bits in range(1, 1 << m):
-        members = [i for i in range(m) if bits >> i & 1]
-        member_set = set(members)
-        ok = True
-        for q in members:
-            if not (set(table[:, q].tolist()) <= member_set):
-                ok = False
-                break
-            if not (set(table[q, :].tolist()) <= member_set):
-                ok = False
-                break
-        if ok:
+        members = {i for i in range(m) if bits >> i & 1}
+        if all(steps[q] <= members for q in members):
             ideals.append(frozenset(members))
     return ideals
-
-
-def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:
-    """{a} u Sa u aS u SaS for a single element."""
-    table = sg.cayley
-    left = np.unique(table[:, a])
-    members = {a} | set(left.tolist()) | set(table[a, :].tolist())
-    members |= set(np.unique(table[left, :]).tolist())
-    return frozenset(members)

@@ -367,3 +367,16 @@ def test_truncated_subshift_matrix_verdict_matches_window_verdict():
     rep = classify(sys_)
     assert rep.weak_star_mean_ergodic is Verdict.FALSE
     assert rep.zero.method == "minimal_set_refutation"
+
+
+def test_large_closure_stores_only_generator_graphs():
+    # A 108,685-element closure: a dense Cayley table would take 44 GiB,
+    # the two generator graphs take 108,685 x 3 entries each.
+    sys_ = random_system(8, 3, seed=3)
+    assert ellis(sys_).right.shape == (108685, 3)
+    rep = classify(sys_)
+    assert rep.ellis_size == 108685
+    assert rep.kernel_size == 8
+    assert rep.unique_ergodic is Verdict.FALSE
+    assert rep.norm_mean_ergodic is Verdict.FALSE
+    assert rep.weak_star_mean_ergodic is Verdict.FALSE
