@@ -33,11 +33,11 @@ from .operators import (
     Measure,
     OperatorMatrix,
     adjoint_matrix,
-    convex_combination,
     decomposition_check,
     fixed_space,
     invariant_measures,
     koopman_matrix,
+    pushforward,
     separation_check,
 )
 from .systems import FiniteSystem, minimal_sets, transitivity
@@ -177,7 +177,7 @@ def _certify(weights: dict[Transformation, Fraction],
     if total != 1 or any(w < 0 for w in weights.values()):
         return None
     witness = tuple(sorted(weights.items(), key=lambda kv: kv[0].images))
-    q = convex_combination((adjoint_matrix(t), w) for t, w in witness)
+    q = pushforward(witness)
     checks = []
     for name, g in sys.generators:
         a = adjoint_matrix(g)
@@ -230,19 +230,18 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     every generator with Q = sum lambda_i E_i, solved by an exact
     phase-1 simplex.  A None here is a proof that no zero exists.
     """
-    mats = [adjoint_matrix(t) for t in sg.elements]
+    # E_i[r][c] = 1 exactly when elements[i] maps c to r.
+    images = [t.images for t in sg.elements]
     m = sg.size
     n = sys.n
     rows = []
-    for left, right in zip(sg.left.T.tolist(), sg.right.T.tolist()):
+    for columns in zip(sg.left.T.tolist(), sg.right.T.tolist()):
         for r in range(n):
             for c in range(n):
-                rows.append(tuple(
-                    mats[left[i]].rows[r][c] - mats[i].rows[r][c] for i in range(m)
-                ))
-                rows.append(tuple(
-                    mats[right[i]].rows[r][c] - mats[i].rows[r][c] for i in range(m)
-                ))
+                for col in columns:
+                    rows.append(tuple(
+                        (images[col[i]][c] == r) - (images[i][c] == r) for i in range(m)
+                    ))
     rows.append((Fraction(1),) * m)
     rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
     solution = rational.lp_feasible_point(rows, rhs)
@@ -365,7 +364,7 @@ def jacobs(sys: FiniteSystem, mu: Measure,
         pushed = Measure(adjoint_matrix(g).apply(mu.weights))
         if pushed != mu:
             raise ValueError(f"measure is not invariant under generator {name!r}")
-    restriction = restriction_epimorphism(koehler(sys, max_elements).bridge, mu.support)
+    restriction = restriction_epimorphism(ellis(sys, max_elements), mu.support)
     bridge = restriction.target
     mats = tuple(adjoint_matrix(t) for t in bridge.elements)
     return JacobsResult(MatrixSemigroup(mats, bridge), restriction.element_map,

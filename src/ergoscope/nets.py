@@ -2,11 +2,13 @@
 
 A net sample is a finite run of averages drawn from the convex hull of a
 matrix semigroup.  Every step records the convex combination it stands
-for, so membership in the hull is checkable after the fact.
+for, and its matrix is that combination, so membership in the hull is
+checkable after the fact.  Cesàro nets are one-generator Følner nets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,11 +28,7 @@ def cesaro(m: OperatorMatrix, n: int) -> OperatorMatrix:
     """Exact (1/N) sum of the first N powers; cesaro(M, 1) = I."""
     if n < 1:
         raise ValueError("need N >= 1")
-    powers = matrix_powers(m, n)
-    acc = powers[0]
-    for p in powers[1:]:
-        acc = acc + p
-    return acc.scale(Fraction(1, n))
+    return convex_combination((p, Fraction(1, n)) for p in matrix_powers(m, n))
 
 
 def _power_bound(m: OperatorMatrix) -> Fraction:
@@ -78,24 +76,8 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
 
 
 def folner_box(generators, n: int) -> OperatorMatrix:
-    """Average over the box {0..N-1}^d of products of commuting matrices.
-
-    Equals the product of the per-generator Cesàro means, which is the
-    same sum term by term when the generators commute.
-    """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    if n < 1:
-        raise ValueError("need N >= 1")
-    for i, a in enumerate(generators):
-        for b in generators[i + 1:]:
-            if a @ b != b @ a:
-                raise ValueError("Følner box averages need commuting generators")
-    acc = cesaro(generators[0], n)
-    for g in generators[1:]:
-        acc = acc @ cesaro(g, n)
-    return acc
+    """Average over the box {0..N-1}^d of products of commuting matrices."""
+    return folner_net(generators, [n]).steps[0].matrix
 
 
 @dataclass(frozen=True)
@@ -121,33 +103,42 @@ class NetSample:
 
 
 def cesaro_net(m: OperatorMatrix, ns, label: str = "cesaro") -> NetSample:
-    steps = []
-    for n in ns:
-        powers = matrix_powers(m, n)
-        w = Fraction(1, n)
-        steps.append(NetStep(f"{label} N={n}", cesaro(m, n),
-                             tuple((p, w) for p in powers)))
-    return NetSample(tuple(steps))
+    return folner_net([m], ns, label)
 
 
 def folner_net(generators, ns, label: str = "folner") -> NetSample:
+    """Averages over the boxes {0..N-1}^d of products of commuting matrices.
+
+    The box is summed one generator at a time, merging equal partial
+    products, so the work grows with the number of distinct products.
+    """
     generators = list(generators)
+    ns = list(ns)
+    if not generators:
+        raise ValueError("need at least one generator")
+    if not ns:
+        raise ValueError("empty net")
+    if min(ns) < 1:
+        raise ValueError("need N >= 1")
+    for i, a in enumerate(generators):
+        for b in generators[i + 1:]:
+            if a @ b != b @ a:
+                raise ValueError("Følner box averages need commuting generators")
+    powers = [matrix_powers(g, max(ns)) for g in generators]
     steps = []
     for n in ns:
-        per_gen_powers = [matrix_powers(g, n) for g in generators]
-        combo: dict[OperatorMatrix, Fraction] = {}
+        counts = Counter(powers[0][:n])
+        for gen_powers in powers[1:]:
+            distinct = Counter(gen_powers[:n])
+            merged = Counter()
+            for acc, c in counts.items():
+                for p, k in distinct.items():
+                    merged[acc @ p] += c * k
+            counts = merged
         w = Fraction(1, n ** len(generators))
-
-        def walk(i, acc):
-            if i == len(per_gen_powers):
-                combo[acc] = combo.get(acc, ZERO) + w
-                return
-            for p in per_gen_powers[i]:
-                walk(i + 1, acc @ p if acc is not None else p)
-
-        walk(0, None)
-        steps.append(NetStep(f"{label} N={n}", folner_box(generators, n),
-                             tuple(sorted(combo.items(), key=lambda kv: kv[0].rows))))
+        combo = tuple(sorted(((m, c * w) for m, c in counts.items()),
+                             key=lambda kv: kv[0].rows))
+        steps.append(NetStep(f"{label} N={n}", convex_combination(combo), combo))
     return NetSample(tuple(steps))
 
 

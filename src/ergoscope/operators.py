@@ -133,19 +133,26 @@ class Measure:
         return sum(a * b for a, b in zip(f, self.weights))
 
 
-def koopman_matrix(t: Transformation) -> OperatorMatrix:
-    """M[x][y] = 1 iff t(x) = y, so M f = f o t."""
-    n = t.degree
-    return OperatorMatrix(
-        tuple(
-            tuple(ONE if t(x) == y else ZERO for y in range(n)) for x in range(n)
-        )
-    )
+def pushforward(weighted) -> OperatorMatrix:
+    """Exact sum of w * A_t over (map, weight) pairs.  Column c of A_t is
+    the point mass at t(c), so each pair adds w to one entry per column."""
+    weighted = list(weighted)
+    n = weighted[0][0].degree
+    rows = [[ZERO] * n for _ in range(n)]
+    for t, w in weighted:
+        for c, r in enumerate(t.images):
+            rows[r][c] += w
+    return OperatorMatrix(tuple(map(tuple, rows)))
 
 
 def adjoint_matrix(t: Transformation) -> OperatorMatrix:
-    """Transpose of the Koopman matrix: the pushforward on measures."""
-    return koopman_matrix(t).transpose()
+    """The pushforward on measures: A[y][x] = 1 iff t(x) = y."""
+    return pushforward([(t, ONE)])
+
+
+def koopman_matrix(t: Transformation) -> OperatorMatrix:
+    """Transpose of the pushforward: M[x][y] = 1 iff t(x) = y, so M f = f o t."""
+    return adjoint_matrix(t).transpose()
 
 
 def adjoint_on_measure(m: OperatorMatrix, mu: Measure, strict: bool = True) -> Measure:

@@ -132,6 +132,13 @@ def test_trace_csv(tmp_path):
     assert len(lines) > 4
 
 
+def test_trace_folner_rejects_non_commuting(tmp_path):
+    path = write_descriptor(tmp_path, TWO_CONSTANTS)
+    result = run_cli(["trace", path, "--net", "folner", "--N", "8"])
+    assert result.returncode == 1
+    assert "Følner box averages need commuting generators" in result.stderr
+
+
 def test_classify_subshift_descriptor(tmp_path):
     doc = {"subshift": {"generator": "explicit", "bits": "01" * 10, "window": 2}}
     path = write_descriptor(tmp_path, doc)
