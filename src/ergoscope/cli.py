@@ -115,7 +115,7 @@ def _system_from_descriptor(doc: dict) -> FiniteSystem:
     return FiniteSystem.from_maps(maps, name=doc.get("name", ""))
 
 
-def _subshift_word(spec: dict) -> tuple[BinaryWord, int, int]:
+def _subshift_word(spec: dict) -> tuple[BinaryWord, int]:
     generator = spec.get("generator", "rolandex")
     horizon = spec.get("horizon")
     window = spec.get("window")
@@ -129,19 +129,19 @@ def _subshift_word(spec: dict) -> tuple[BinaryWord, int, int]:
         if not bits:
             raise InputError("explicit subshift needs a bits string")
         word = BinaryWord.from_string(bits)
-        horizon = horizon if horizon is not None else word.length
-        word = word.prefix(min(horizon, word.length))
+        if horizon is not None:
+            word = word.prefix(min(horizon, word.length))
     else:
         raise InputError(f"unknown subshift generator {generator!r}")
     if window > word.length:
         raise InputError("window exceeds horizon")
-    return word, window, horizon
+    return word, window
 
 
 def cmd_classify(args) -> int:
     doc = _load_descriptor(args.input)
     if "subshift" in doc:
-        word, window, horizon = _subshift_word(doc["subshift"])
+        word, window = _subshift_word(doc["subshift"])
         report = classify_subshift(word, window)
         payload = {
             "type": "subshift",
@@ -224,7 +224,8 @@ def cmd_invariant_measures(args) -> int:
 def cmd_trace(args) -> int:
     doc = _load_descriptor(args.input)
     if "subshift" in doc:
-        word, window, horizon = _subshift_word(doc["subshift"])
+        word, window = _subshift_word(doc["subshift"])
+        horizon = word.length
         ns = []
         n = max(window, 2)
         while n < horizon:

@@ -61,12 +61,14 @@ class Verdict(enum.Enum):
         return cls.TRUE if flag else cls.FALSE
 
 
+VERIFY_ALL_MAX = 1000                    # verify zero identities on all elements
+MAX_WORD_LEN = 6                         # word-averaging heuristic depth
+
+
 @dataclass(frozen=True)
 class Budget:
     max_elements: int | None = None      # closure cap; None = global default
     lp_max_elements: int = 64            # exact refutation cutoff
-    verify_all_max: int = 1000           # verify zero identities on all elements
-    max_word_len: int = 6                # word-averaging heuristic depth
 
 
 def ellis(sys: FiniteSystem, max_elements: int | None = None) -> TransSemigroup:
@@ -282,7 +284,6 @@ def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
 
 def convex_koehler_zero(
     sys: FiniteSystem,
-    strategy: str = "auto",
     budget: Budget | None = None,
     _ellis: TransSemigroup | None = None,
 ) -> ZeroSearchResult:
@@ -296,21 +297,12 @@ def convex_koehler_zero(
     those budgets the result is reported as undetermined, never guessed.
     """
     budget = budget or Budget()
-    if strategy not in ("auto", "cesaro_product", "folner", "word_average"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy in ("cesaro_product", "folner") or (strategy == "auto" and sys.commuting):
-        if not sys.commuting:
-            raise ValueError("Cesàro-product search needs commuting generators")
+    if sys.commuting:
         cert = _zero_by_cesaro_product(sys)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    cert = _zero_by_word_average(sys, budget.max_word_len)
+    cert = _zero_by_word_average(sys, MAX_WORD_LEN)
     if cert is not None:
         return ZeroSearchResult("found", cert, "word_average")
-    if strategy == "word_average":
-        return ZeroSearchResult(
-            "undetermined", None, "word_average",
-            ("word averaging found no zero; no refutation attempted",),
-        )
     reason = _zero_refuted_by_minimal_sets(sys)
     if reason is not None:
         return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
@@ -474,12 +466,12 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     measures = invariant_measures(sys)
     notes.append(f"extreme invariant measures: {len(measures)}")
 
-    search = convex_koehler_zero(sys, "auto", budget, _ellis=sg)
+    search = convex_koehler_zero(sys, budget, _ellis=sg)
     if search.status == "found":
         weak_star = norm = Verdict.TRUE
         rank = search.certificate.rank()
         unique = Verdict.of(rank == 1)
-        if sg is not None and sg.size <= budget.verify_all_max:
+        if sg is not None and sg.size <= VERIFY_ALL_MAX:
             verify_zero_on_all_elements(search.certificate, sg)
     elif search.status == "absent":
         weak_star = norm = Verdict.FALSE

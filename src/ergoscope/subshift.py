@@ -12,9 +12,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from .systems import FiniteSystem
-from .transforms import SizeCapError, Transformation
+from .transforms import Transformation
 
 MAX_PREFIX_LENGTH = 10**8
 
@@ -51,29 +53,27 @@ class BinaryWord:
 
     @classmethod
     def from_string(cls, text: str, origin: str = "user") -> "BinaryWord":
-        return cls.from_bits(int(c) for c in text)
+        return cls.from_bits((int(c) for c in text), origin)
+
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """Offset of each run, then the word length."""
+        return tuple(accumulate((length for _, length in self.runs), initial=0))
 
     @property
     def length(self) -> int:
-        return sum(length for _, length in self.runs)
-
-    def _starts(self) -> list[int]:
-        starts = [0]
-        for _, length in self.runs:
-            starts.append(starts[-1] + length)
-        return starts
+        return self.starts[-1]
 
     def bit(self, i: int) -> int:
         if not (0 <= i < self.length):
             raise IndexError(i)
-        starts = self._starts()
-        return self.runs[bisect_right(starts, i) - 1][0]
+        return self.runs[bisect_right(self.starts, i) - 1][0]
 
     def factor(self, start: int, length: int) -> Window:
         """The factor word[start : start+length], materialized."""
         if start < 0 or start + length > self.length:
             raise IndexError((start, length))
-        starts = self._starts()
+        starts = self.starts
         out = []
         i = start
         k = bisect_right(starts, i) - 1
@@ -137,19 +137,7 @@ def rolandex_prefix(length: int) -> BinaryWord:
         runs.append((0, 10**n))
         total += n + 10**n
         n += 1
-    return BinaryWord(_truncate_runs(runs, length), origin="rolandex")
-
-
-def _truncate_runs(runs, length):
-    out = []
-    remaining = length
-    for bit, run_len in runs:
-        take = min(run_len, remaining)
-        out.append((bit, take))
-        remaining -= take
-        if remaining == 0:
-            break
-    return tuple(out)
+    return BinaryWord(tuple(runs), origin="rolandex").prefix(length)
 
 
 @dataclass
@@ -167,39 +155,35 @@ class WindowSystem:
 
 
 def _crossing_positions(word: BinaryWord, width: int, limit: int) -> set[int]:
-    """Start positions whose window of that width crosses a run boundary."""
+    """Starts below ``limit`` whose window of that width crosses a run boundary.
+
+    ``limit`` is at most ``word.length - width + 1``, so every such window
+    lies inside the word.
+    """
     positions: set[int] = set()
-    boundary = 0
-    for _, run_len in word.runs[:-1]:
-        boundary += run_len
-        lo = max(0, boundary - width + 1)
-        hi = min(boundary - 1, limit - 1)
-        positions.update(range(lo, hi + 1))
-    return {p for p in positions if p + width <= word.length and p < limit}
-
-
-def _factors(word: BinaryWord, width: int) -> set[Window]:
-    limit = word.length - width + 1
-    if limit <= 0:
-        return set()
-    found = {word.factor(p, width) for p in _crossing_positions(word, width, limit)}
-    for bit, run_len in word.runs:
-        if run_len >= width:
-            found.add((bit,) * width)
-    return found
+    for boundary in word.starts[1:-1]:
+        positions.update(range(max(0, boundary - width + 1), min(boundary, limit)))
+    return positions
 
 
 def window_closure(word: BinaryWord, window: int) -> WindowSystem:
-    """All length-W factors, with successor edges where determined."""
+    """All length-W factors, with successor edges where determined.
+
+    One scan of the (W+1)-factors gives every edge.  Their W-prefixes are
+    all the W-factors except the last one, which starts at length - W.
+    """
     if not (1 <= window <= word.length):
         raise ValueError("window must be between 1 and the word length")
-    windows = frozenset(_factors(word, window))
-    successors: dict[Window, set[Window]] = {w: set() for w in windows}
-    for f in _factors(word, window + 1):
-        successors[f[:window]].add(f[1:])
+    width = window + 1
+    limit = word.length - window
+    longer = {word.factor(p, width) for p in _crossing_positions(word, width, limit)}
+    longer.update((bit,) * width for bit, run_len in word.runs if run_len >= width)
+    successors: dict[Window, set[Window]] = {word.factor(limit, window): set()}
+    for f in longer:
+        successors.setdefault(f[:window], set()).add(f[1:])
     succ = {w: frozenset(s) for w, s in successors.items()}
     edges = {w: next(iter(s)) for w, s in succ.items() if len(s) == 1}
-    return WindowSystem(window, windows, edges, succ)
+    return WindowSystem(window, frozenset(succ), edges, succ)
 
 
 def fixed_windows(ws: WindowSystem) -> list[Window]:
@@ -208,21 +192,23 @@ def fixed_windows(ws: WindowSystem) -> list[Window]:
 
 
 def _unique_successor_cycles(ws: WindowSystem) -> list[frozenset[Window]]:
-    """Orbits returning to their start along uniquely determined edges."""
-    cycles = set()
+    """Orbits returning to their start along uniquely determined edges.
+
+    Each window is walked once: a walk stops at a window an earlier walk
+    has passed, and closes a cycle only when it meets its own path.
+    """
+    cycles = []
+    done: set[Window] = set()
     for start in ws.windows:
-        seen = [start]
-        index = {start: 0}
+        path: dict[Window, int] = {}
         current = start
-        while current in ws.shift_edges:
+        while current in ws.shift_edges and current not in done:
+            done.add(current)
+            path[current] = len(path)
             current = ws.shift_edges[current]
-            if current in index:
-                if current == start:
-                    cycles.add(frozenset(seen[index[current]:]))
-                break
-            index[current] = len(seen)
-            seen.append(current)
-    return sorted(cycles, key=lambda c: sorted(c))
+        if current in path:
+            cycles.append(frozenset(list(path)[path[current]:]))
+    return sorted(cycles, key=sorted)
 
 
 @dataclass(frozen=True)
@@ -235,8 +221,7 @@ class SubshiftReport:
     note: str
 
 
-def classify_subshift(word: BinaryWord, window: int,
-                      horizon: int | None = None) -> SubshiftReport:
+def classify_subshift(word: BinaryWord, window: int) -> SubshiftReport:
     """Count minimal-set candidates visible at this resolution.
 
     Candidates are the cycles of uniquely determined successors (periodic
@@ -247,8 +232,6 @@ def classify_subshift(word: BinaryWord, window: int,
     candidate certifies nothing, so the verdict is never an absolute
     claim about the infinite system.
     """
-    if horizon is not None:
-        word = word.prefix(min(horizon, word.length))
     ws = window_closure(word, window)
     fixed = tuple(fixed_windows(ws))
     candidates = list(_unique_successor_cycles(ws))
@@ -310,34 +293,22 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
         return []
     if max(n_list) + depth - 1 > word.length:
         raise ValueError("word too short for the requested trace")
-    max_n = max(n_list)
-    crossing = sorted(_crossing_positions(word, depth, max_n))
-    crossing_vals = {p: f(word.factor(p, depth)) for p in crossing}
-    run_bounds = []
-    start = 0
-    for bit, run_len in word.runs:
-        run_bounds.append((start, start + run_len, bit))
-        start += run_len
+    crossing = {p: f(word.factor(p, depth))
+                for p in _crossing_positions(word, depth, max(n_list))}
     f_const = {0: f((0,) * depth), 1: f((1,) * depth)}
-
-    results = []
-    for n in sorted(set(n_list)):
-        total = Fraction(0)
-        crossing_in = [p for p in crossing if p < n]
-        for p in crossing_in:
-            total += crossing_vals[p]
-        crossing_set = set(crossing_in)
-        for lo, hi, bit in run_bounds:
+    starts = word.starts
+    by_n = {}
+    for n in set(n_list):
+        total = sum((v for p, v in crossing.items() if p < n), Fraction(0))
+        # A window starting in [lo, hi - depth] lies inside the run
+        # [lo, hi), so it is no crossing position.
+        for lo, hi, (bit, _) in zip(starts, starts[1:], word.runs):
             if lo >= n:
                 break
-            last = min(hi - depth, n - 1)
-            if last < lo:
-                continue
-            count = last - lo + 1
-            inside = sum(1 for p in crossing_set if lo <= p <= last)
-            total += (count - inside) * f_const[bit]
-        results.append(total / n)
-    by_n = dict(zip(sorted(set(n_list)), results))
+            count = min(hi - depth, n - 1) - lo + 1
+            if count > 0:
+                total += count * f_const[bit]
+        by_n[n] = total / n
     return [by_n[n] for n in n_list]
 
 
@@ -345,18 +316,16 @@ def trace_csv_rows(n_list, values) -> list[tuple[str, str, str]]:
     return [(str(n), str(v), repr(float(v))) for n, v in zip(n_list, values)]
 
 
-def windows_system(ws: WindowSystem, selections: str = "extremes",
-                   max_generators: int = 64) -> FiniteSystem:
+def windows_system(ws: WindowSystem) -> FiniteSystem:
     """The truncation as a finite system on windows.
 
     The observed successor relation is generally not a function (a long
     zero run can continue or end), so generators are total selections
     from the relation; windows with no observed successor fall back to
-    fixing themselves.  The default keeps the two extreme selections,
+    fixing themselves.  The generators are the two extreme selections,
     resolving every ambiguity toward the smallest (resp. largest)
     successor; iterating them realizes the constant maps onto the
-    constant windows.  ``selections="all"`` takes every selection, up to
-    ``max_generators``.
+    constant windows.
     """
     ordered_windows = sorted(ws.windows)
     labels = tuple("".join(map(str, w)) for w in ordered_windows)
@@ -375,29 +344,10 @@ def windows_system(ws: WindowSystem, selections: str = "extremes",
             images.append(order[target])
         return Transformation(tuple(images))
 
-    if selections == "extremes":
-        chosen = [
-            ("low", {w: min(ws.successors[w]) for w in ambiguous}),
-            ("high", {w: max(ws.successors[w]) for w in ambiguous}),
-        ]
-    elif selections == "all":
-        count = 1
-        for w in ambiguous:
-            count *= len(ws.successors[w])
-            if count > max_generators:
-                raise SizeCapError(
-                    f"{count}+ successor selections exceed the cap {max_generators}"
-                )
-        partial = [{}]
-        for w in ambiguous:
-            partial = [
-                {**sel, w: choice}
-                for sel in partial
-                for choice in sorted(ws.successors[w])
-            ]
-        chosen = [(f"sel{i}", sel) for i, sel in enumerate(partial)]
-    else:
-        raise ValueError("selections must be 'extremes' or 'all'")
+    chosen = [
+        ("low", {w: min(ws.successors[w]) for w in ambiguous}),
+        ("high", {w: max(ws.successors[w]) for w in ambiguous}),
+    ]
     generators = []
     seen = set()
     for name, sel in chosen:

@@ -148,6 +148,20 @@ def test_classify_subshift_descriptor(tmp_path):
     assert report["minimal_candidates"] == [["01", "10"]]
 
 
+def test_trace_subshift_horizon_beyond_bits(tmp_path):
+    # A horizon longer than the explicit word is cut to the word, as in
+    # classify; the trace then ends at the word's length.
+    bits = "0110100110010110"
+    doc = {"subshift": {"generator": "explicit", "bits": bits,
+                        "horizon": 100, "window": 2}}
+    path = write_descriptor(tmp_path, doc)
+    out = tmp_path / "trace.csv"
+    result = run_cli(["trace", path, "--csv-out", str(out)])
+    assert result.returncode == 0, result.stderr
+    last = out.read_text().splitlines()[-1]
+    assert last.split(",")[0] == str(len(bits))
+
+
 def test_classify_grid_descriptor(tmp_path):
     doc = {"grid": {"multiples_of_pi": 2, "subdivisions": 50}}
     path = write_descriptor(tmp_path, doc)

@@ -61,6 +61,7 @@ def test_binary_word_round_trip():
     assert word.bit(4) == 1
     assert word.factor(2, 3) == (0, 1, 1)
     assert word.prefix(4).bits() == [0, 1, 0, 1]
+    assert BinaryWord.from_string("0101101", origin="file").origin == "file"
 
 
 def test_window_closure_alternating():
