@@ -171,8 +171,7 @@ def cmd_classify(args) -> int:
         _emit(_json_text(payload), args.json_out)
         return EXIT_OK if report.converged else EXIT_UNDETERMINED
     sys_ = _system_from_descriptor(doc)
-    budget = Budget(max_elements=args.budget) if args.budget else Budget()
-    report = classify(sys_, budget)
+    report = classify(sys_, Budget(max_elements=args.budget))
     _emit(_json_text(report_to_json_dict(report)), args.json_out)
     verdicts = (report.unique_ergodic, report.norm_mean_ergodic,
                 report.weak_star_mean_ergodic)
@@ -261,8 +260,8 @@ def cmd_reproduce(args) -> int:
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     if args.name == "rolandex":
-        horizon = args.horizon or block_boundary(8)
-        window = args.window or 7
+        horizon = block_boundary(8) if args.horizon is None else args.horizon
+        window = 7 if args.window is None else args.window
         word = rolandex_prefix(horizon)
         if window > word.length:
             raise InputError("window exceeds horizon")

@@ -285,31 +285,38 @@ def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
 def convex_koehler_zero(
     sys: FiniteSystem,
     budget: Budget | None = None,
-    _ellis: TransSemigroup | None = None,
+    _ellis: TransSemigroup | SizeCapError | None = None,
 ) -> ZeroSearchResult:
     """Search for the zero element of the convex Köhler semigroup.
 
     Commuting generators get the exact Cesàro-product construction,
-    which is complete for that class.  Otherwise a word-averaging
-    heuristic runs first, then two exact refutations: the minimal-set
-    criterion (cheap, any size) and linear feasibility over the hull of
-    all elements (complete up to ``budget.lp_max_elements``).  Beyond
-    those budgets the result is reported as undetermined, never guessed.
+    which is complete for that class.  Otherwise the cheap exact
+    minimal-set refutation runs first, then a word-averaging heuristic,
+    then linear feasibility over the hull of all elements (complete up
+    to ``budget.lp_max_elements``).  A refutation and an exactly
+    verified word average never both succeed, so the order changes no
+    result.  Beyond those budgets the result is reported as
+    undetermined, never guessed.  ``_ellis`` is the closure, or the
+    ``SizeCapError`` it already raised.
     """
     budget = budget or Budget()
     if sys.commuting:
         cert = _zero_by_cesaro_product(sys)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    cert = _zero_by_word_average(sys, MAX_WORD_LEN)
-    if cert is not None:
-        return ZeroSearchResult("found", cert, "word_average")
     reason = _zero_refuted_by_minimal_sets(sys)
     if reason is not None:
         return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
-    try:
-        sg = _ellis if _ellis is not None else ellis(sys, budget.max_elements)
-    except SizeCapError as exc:
-        return ZeroSearchResult("undetermined", None, "word_average", (str(exc),))
+    cert = _zero_by_word_average(sys, MAX_WORD_LEN)
+    if cert is not None:
+        return ZeroSearchResult("found", cert, "word_average")
+    sg = _ellis
+    if sg is None:
+        try:
+            sg = ellis(sys, budget.max_elements)
+        except SizeCapError as exc:
+            sg = exc
+    if isinstance(sg, SizeCapError):
+        return ZeroSearchResult("undetermined", None, "word_average", (str(sg),))
     if sg.size > budget.lp_max_elements:
         return ZeroSearchResult(
             "undetermined", None, "word_average",
@@ -449,24 +456,25 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
         if sys.commuting else "left amenability: unverified"
     )
 
-    sg = None
+    sg = capped = None
     ellis_size = kernel_size = None
     try:
         sg = ellis(sys, budget.max_elements)
         ellis_size = sg.size
         kernel_size = len(kernel(sg))
     except SizeCapError as exc:
+        capped = exc
         notes.append(f"size cap reached: {exc}")
 
     msets = minimal_sets(sys)
-    trans = transitivity(sys)
-    sg_has_identity = sg is not None and sg.identity_index() is not None
-    witness = trans.witness if sg_has_identity else trans.strict_witness
+    # When the closure holds the identity, x lies in Sx, so {x} u Sx = Sx
+    # and the two transitivity witnesses coincide.
+    witness = transitivity(sys).strict_witness
 
     measures = invariant_measures(sys)
     notes.append(f"extreme invariant measures: {len(measures)}")
 
-    search = convex_koehler_zero(sys, budget, _ellis=sg)
+    search = convex_koehler_zero(sys, budget, _ellis=capped or sg)
     if search.status == "found":
         weak_star = norm = Verdict.TRUE
         rank = search.certificate.rank()
@@ -547,10 +555,6 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     )
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def report_to_json_dict(report: ClassificationReport) -> dict:
     """Stable JSON form; tri-states are tagged strings, never null/false."""
     if report.zero.certificate is not None:
@@ -558,9 +562,9 @@ def report_to_json_dict(report: ClassificationReport) -> dict:
         zero_obj = {
             "status": "found",
             "method": report.zero.method,
-            "matrix": [[_frac(x) for x in row] for row in cert.matrix.rows],
+            "matrix": [[str(x) for x in row] for row in cert.matrix.rows],
             "witness": [
-                {"map": list(t.images), "weight": _frac(w)} for t, w in cert.witness
+                {"map": list(t.images), "weight": str(w)} for t, w in cert.witness
             ],
             "checks": list(cert.checks),
         }
@@ -579,7 +583,7 @@ def report_to_json_dict(report: ClassificationReport) -> dict:
         "minimal_sets": [sorted(m) for m in report.minimal_sets],
         "transitive": report.transitive,
         "invariant_measure": (
-            None if mu is None else [_frac(w) for w in mu.weights]
+            None if mu is None else [str(w) for w in mu.weights]
         ),
         "notes": list(report.notes),
     }

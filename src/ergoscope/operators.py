@@ -155,9 +155,9 @@ def koopman_matrix(t: Transformation) -> OperatorMatrix:
     return adjoint_matrix(t).transpose()
 
 
-def adjoint_on_measure(m: OperatorMatrix, mu: Measure, strict: bool = True) -> Measure:
+def adjoint_on_measure(m: OperatorMatrix, mu: Measure) -> Measure:
     """Apply the transpose of a row-stochastic matrix to a measure."""
-    if strict and not m.row_stochastic:
+    if not m.row_stochastic:
         raise ValueError("matrix is not row-stochastic; mass would not be preserved")
     return Measure(m.transpose().apply(mu.weights))
 

@@ -136,10 +136,6 @@ def lp_feasible_point(
     if not a:
         return ()
     n = len(a[0])
-    for i in range(len(a)):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
     # Drop redundant rows first so every artificial can leave the basis.
     reduced, pivots = rref([row + [bi] for row, bi in zip(a, b)])
     if n in pivots:

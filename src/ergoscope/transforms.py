@@ -48,10 +48,6 @@ class Transformation:
     def constant(cls, n: int, value: int) -> "Transformation":
         return cls((value,) * n)
 
-    @classmethod
-    def from_pairs(cls, n: int, mapping) -> "Transformation":
-        return cls(tuple(mapping[x] for x in range(n)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -137,12 +133,6 @@ class TransSemigroup:
                 return i
         raise KeyError(t)
 
-    def identity_index(self) -> int | None:
-        for i, e in enumerate(self.elements):
-            if e.is_identity:
-                return i
-        return None
-
 
 def _semigroup(ordered: list[tuple[int, ...]], gen_tuples) -> TransSemigroup:
     """The semigroup on sorted, distinct image tuples that ``gen_tuples`` generate."""
@@ -215,16 +205,18 @@ def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:
 
 
 def kernel(sg: TransSemigroup) -> frozenset[int]:
-    """The minimal two-sided ideal, as element indices.
+    """The minimal two-sided ideal K, as element indices: the elements of least rank.
 
-    Computed as the principal ideal of the product of all elements: that
-    product lies in every ideal, and its principal ideal is contained in
-    every ideal, hence equals their intersection.
+    Let a have least rank and k lie in K.  Then b = a o k o a lies in K
+    and im(b) = im(a), since im(b) lies in im(a) and no element has a
+    smaller rank; b o b has at least that rank too, so b permutes im(a).
+    A power e of b is then an idempotent of K fixing im(a) pointwise,
+    hence a = e o a lies in K.  K is one J-class, so all of its elements
+    share that least rank.
     """
-    p = sg.elements[0].images
-    for e in sg.elements[1:]:
-        p = _compose_tuples(p, e.images)
-    return principal_ideal(sg, sg.index_of(Transformation(p)))
+    ranks = [e.rank for e in sg.elements]
+    least = min(ranks)
+    return frozenset(i for i, r in enumerate(ranks) if r == least)
 
 
 def right_zeros(sg: TransSemigroup) -> frozenset[int]:
@@ -246,12 +238,13 @@ def left_zeros(sg: TransSemigroup) -> frozenset[int]:
 
 
 def zero(sg: TransSemigroup) -> int | None:
-    """The unique two-sided zero, if present."""
-    candidates = right_zeros(sg) & left_zeros(sg)
-    if not candidates:
-        return None
-    assert len(candidates) == 1, "two distinct zeros would have to be equal"
-    return next(iter(candidates))
+    """The two-sided zero, if present.
+
+    A zero is exactly a one-element ideal, so it is the kernel's only
+    element when the kernel has one element, and absent otherwise.
+    """
+    ker = kernel(sg)
+    return next(iter(ker)) if len(ker) == 1 else None
 
 
 def idempotents(sg: TransSemigroup) -> frozenset[int]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +55,7 @@ def test_classify_cyclic_shift(tmp_path):
     report = json.loads(out.read_text())
     assert report["unique_ergodic"] == "true"
     assert report["invariant_measure"] == ["1/3", "1/3", "1/3"]
-    schema = json.loads(open(SCHEMA_PATH).read())
+    schema = json.loads(Path(SCHEMA_PATH).read_text())
     jsonschema.validate(report, schema)
 
 
@@ -64,7 +65,7 @@ def test_classify_two_constants(tmp_path):
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["weak_star_mean_ergodic"] == "false"
-    jsonschema.validate(report, json.loads(open(SCHEMA_PATH).read()))
+    jsonschema.validate(report, json.loads(Path(SCHEMA_PATH).read_text()))
 
 
 def test_classify_oversized_exits_undetermined(tmp_path):
@@ -83,6 +84,15 @@ def test_classify_oversized_exits_undetermined(tmp_path):
     report = json.loads(result.stdout)
     assert report["weak_star_mean_ergodic"] == "undetermined"
     assert any("size cap" in n for n in report["notes"])
+
+
+def test_classify_budget_zero_caps_the_closure(tmp_path):
+    path = write_descriptor(tmp_path, CYCLIC)
+    result = run_cli(["classify", path, "--budget", "0"])
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["ellis_size"] is None
+    assert "size cap reached: semigroup closure exceeds element cap 0" in report["notes"]
 
 
 def test_malformed_json_reports_position(tmp_path):
@@ -194,6 +204,14 @@ def test_reproduce_rolandex_insufficient_horizon(tmp_path):
     ])
     # 40 symbols never reach a block of four ones: undetermined.
     assert result.returncode == 3
+
+
+@pytest.mark.parametrize("option", ["--horizon", "--window"])
+def test_reproduce_rolandex_rejects_zero(tmp_path, option):
+    result = run_cli(["reproduce", "rolandex", option, "0",
+                      "--out-dir", str(tmp_path)])
+    assert result.returncode == 1
+    assert "input error" in result.stderr
 
 
 def test_reproduce_coscos(tmp_path):
