@@ -258,7 +258,6 @@ def cmd_trace(args) -> int:
 
 def cmd_reproduce(args) -> int:
     out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     if args.name == "rolandex":
         horizon = block_boundary(8) if args.horizon is None else args.horizon
         window = 7 if args.window is None else args.window
@@ -284,6 +283,7 @@ def cmd_reproduce(args) -> int:
                 {"N": n, "value": str(v)} for n, v in zip(ns, values)
             ],
         }
+        os.makedirs(out_dir, exist_ok=True)
         _atomic_write(os.path.join(out_dir, "rolandex_report.json"), _json_text(payload))
         _atomic_write(
             os.path.join(out_dir, "rolandex_trace.csv"),
@@ -308,6 +308,7 @@ def cmd_reproduce(args) -> int:
             "n_cesaro": check.n_cesaro,
             "converged": check.converged,
         }
+        os.makedirs(out_dir, exist_ok=True)
         _atomic_write(os.path.join(out_dir, "coscos_report.json"), _json_text(payload))
         _atomic_write(
             os.path.join(out_dir, "coscos_trace.csv"),

@@ -384,7 +384,7 @@ def kernel_image_check(sys: FiniteSystem,
     ker = kernel(sg)
     union = frozenset(x for m in minimal_sets(sys) for x in m)
     violations = tuple(
-        sorted(i for i in ker if not set(sg.elements[i].images) <= union)
+        sorted(i for i in ker if not set(sg.images[i].tolist()) <= union)
     )
     if violations:
         raise AssertionError(

@@ -74,36 +74,62 @@ class Transformation:
         return all(y == x for x, y in enumerate(self.images))
 
 
-def _compose_tuples(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(a.__getitem__, b))
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One exact key per row: its base-n digits, most significant first.
+
+    Each int64 column holds as many digits as fit below 2^63 (one column
+    for n <= 15).  Stored big-endian and viewed as one byte string per
+    row, the keys compare as the rows do lexicographically.
+    """
+    n = rows.shape[1]
+    base = max(n, 2)
+    width = 1
+    while width < n and base ** (width + 1) <= 1 << 63:
+        width += 1
+    padded = np.zeros((len(rows), -(-n // width), width), dtype=np.int64)
+    padded.reshape(len(rows), -1)[:, :n] = rows
+    packed = (padded @ base ** np.arange(width - 1, -1, -1)).astype(">i8")
+    return packed.view(np.dtype((np.void, packed.shape[1] * 8))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
 class TransSemigroup:
     """A composition-closed set of transformations with its generator graphs.
 
+    ``images`` is the representation: a read-only m x n integer array
+    whose row i is the image tuple of element i, rows in lexicographic
+    order, so two runs on the same generators produce identical objects.
+    ``elements`` builds the :class:`Transformation` objects on first use.
+
     ``right[i, k]`` is the index of ``elements[i] o g_k`` and ``left[i, k]``
     the index of ``g_k o elements[i]``, where ``g_k`` is the element at
     ``generator_indices[k]``.  The two graphs determine the whole
     multiplication (Froidure & Pin 1997) in O(m * g) space; the dense
     table ``cayley`` is derived from them on first use.
-
-    Elements are ordered lexicographically by image tuple, so two runs on
-    the same generators produce identical objects.
     """
 
-    elements: tuple[Transformation, ...]
+    images: np.ndarray
     generator_indices: tuple[int, ...]
     right: np.ndarray
     left: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.images.shape[0]
 
     @property
     def degree(self) -> int:
-        return self.elements[0].degree
+        return self.images.shape[1]
+
+    @cached_property
+    def elements(self) -> tuple[Transformation, ...]:
+        return tuple(Transformation(tuple(row)) for row in self.images.tolist())
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Rank of every element: the number of distinct values in its row."""
+        ordered = np.sort(self.images, axis=1)
+        return 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
 
     @cached_property
     def cayley(self) -> np.ndarray:
@@ -128,30 +154,35 @@ class TransSemigroup:
         return table
 
     def index_of(self, t: Transformation) -> int:
-        for i, e in enumerate(self.elements):
-            if e == t:
-                return i
-        raise KeyError(t)
+        keys, key = _keys(self.images), _keys(np.array([t.images]))
+        if t.degree != self.degree or not _member(keys, key)[0]:
+            raise KeyError(t)
+        return int(np.searchsorted(keys, key)[0])
 
 
-def _semigroup(ordered: list[tuple[int, ...]], gen_tuples) -> TransSemigroup:
-    """The semigroup on sorted, distinct image tuples that ``gen_tuples`` generate."""
-    index = {t: i for i, t in enumerate(ordered)}
-    generator_indices = tuple(sorted({index[t] for t in gen_tuples}))
-    gens = [ordered[i] for i in generator_indices]
+def _semigroup(rows: np.ndarray, gen_rows: np.ndarray) -> TransSemigroup:
+    """The semigroup on the distinct ``rows``, in key order, that ``gen_rows`` generate."""
+    keys, first = np.unique(_keys(rows), return_index=True)
+    images = rows[first].astype(np.int32)
+    images.setflags(write=False)
+    generator_indices = tuple(np.unique(np.searchsorted(keys, _keys(gen_rows))).tolist())
 
     def graph(product) -> np.ndarray:
-        out = np.array([[index[product(t, g)] for g in gens] for t in ordered],
-                       dtype=np.int32)
+        out = np.stack([np.searchsorted(keys, _keys(product(g))).astype(np.int32)
+                        for g in images[list(generator_indices)]], axis=1)
         out.setflags(write=False)
         return out
 
-    return TransSemigroup(
-        elements=tuple(Transformation(t) for t in ordered),
-        generator_indices=generator_indices,
-        right=graph(_compose_tuples),
-        left=graph(lambda t, g: _compose_tuples(g, t)),
-    )
+    return TransSemigroup(images, generator_indices, right=graph(lambda g: images[:, g]),
+                          left=graph(lambda g: g[images]))
+
+
+def _member(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in the sorted ``table``."""
+    pos = np.searchsorted(table, keys)
+    found = pos < len(table)
+    found[found] = table[pos[found]] == keys[found]
+    return found
 
 
 def generate_closure(
@@ -159,8 +190,16 @@ def generate_closure(
 ) -> TransSemigroup:
     """Smallest composition-closed superset of the generators.
 
-    Raises :class:`SizeCapError` if the closure would exceed the element
-    cap (``ERGOSCOPE_MAX_ELEMENTS`` overrides the default of 10^6).
+    A breadth-first search over right translates, which reach the whole
+    closure since every product of generators is a chain of them:
+    ``F[:, g]`` composes a whole frontier ``F`` with a generator ``g``.
+    Rows are told apart by their exact keys (:func:`_keys`), found by
+    binary search among the known ones; newly found keys wait in a small
+    sorted tier until its size squared passes the size of the main one.
+
+    Raises :class:`SizeCapError` exactly when the closure has more
+    elements than the cap (``ERGOSCOPE_MAX_ELEMENTS`` overrides the
+    default of 10^6), checked after every level.
     """
     gens = [g if isinstance(g, Transformation) else Transformation(tuple(g)) for g in generators]
     if not gens:
@@ -170,25 +209,23 @@ def generate_closure(
         raise ValueError("generators act on state sets of different sizes")
     cap = element_cap() if max_elements is None else max_elements
 
-    # Every product of generators is a chain of right translates of a
-    # generator, so right translates alone reach the whole closure.
-    gen_tuples = [g.images for g in gens]
-    elems: set[tuple[int, ...]] = set(gen_tuples)
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for t in frontier:
-            for g in gen_tuples:
-                c = _compose_tuples(t, g)
-                if c not in elems:
-                    elems.add(c)
-                    fresh.append(c)
-            if len(elems) > cap:
-                raise SizeCapError(
-                    f"semigroup closure exceeds element cap {cap}"
-                )
-        frontier = fresh
-    return _semigroup(sorted(elems), gen_tuples)
+    gen_rows = np.array([g.images for g in gens], dtype=np.int32)
+    known, first = np.unique(_keys(gen_rows), return_index=True)
+    recent = known[:0]
+    levels = [gen_rows[first]]
+    count = len(first)
+    while len(levels[-1]):
+        if count > cap:
+            raise SizeCapError(f"semigroup closure exceeds element cap {cap}")
+        translates = levels[-1][:, gen_rows].reshape(-1, n)
+        keys, first = np.unique(_keys(translates), return_index=True)
+        fresh = ~(_member(known, keys) | _member(recent, keys))
+        recent = np.insert(recent, np.searchsorted(recent, keys[fresh]), keys[fresh])
+        if len(recent) ** 2 > len(known):
+            known, recent = np.insert(known, np.searchsorted(known, recent), recent), recent[:0]
+        levels.append(translates[first[fresh]])
+        count += len(levels[-1])
+    return _semigroup(np.concatenate(levels), gen_rows)
 
 
 def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:
@@ -214,9 +251,7 @@ def kernel(sg: TransSemigroup) -> frozenset[int]:
     hence a = e o a lies in K.  K is one J-class, so all of its elements
     share that least rank.
     """
-    ranks = [e.rank for e in sg.elements]
-    least = min(ranks)
-    return frozenset(i for i, r in enumerate(ranks) if r == least)
+    return frozenset(np.flatnonzero(sg.ranks == sg.ranks.min()).tolist())
 
 
 def right_zeros(sg: TransSemigroup) -> frozenset[int]:
@@ -248,10 +283,8 @@ def zero(sg: TransSemigroup) -> int | None:
 
 
 def idempotents(sg: TransSemigroup) -> frozenset[int]:
-    return frozenset(
-        i for i, e in enumerate(sg.elements)
-        if _compose_tuples(e.images, e.images) == e.images
-    )
+    squares = np.take_along_axis(sg.images, sg.images, axis=1)
+    return frozenset(np.flatnonzero((squares == sg.images).all(axis=1)).tolist())
 
 
 def center(sg: TransSemigroup) -> frozenset[int]:
@@ -288,11 +321,10 @@ def _verify_multiplicative(
     return sg.size * sg.size
 
 
-def _image_morphism(sg: TransSemigroup, images: list[tuple[int, ...]]) -> SemigroupMorphism:
+def _image_morphism(sg: TransSemigroup, images: np.ndarray) -> SemigroupMorphism:
     """The map elements[i] -> images[i] onto the semigroup of the images, verified."""
-    target = _semigroup(sorted(set(images)), [images[gi] for gi in sg.generator_indices])
-    index = {t.images: i for i, t in enumerate(target.elements)}
-    element_map = tuple(index[t] for t in images)
+    target = _semigroup(images, images[list(sg.generator_indices)])
+    element_map = tuple(np.searchsorted(_keys(target.images), _keys(images)).tolist())
     checked = _verify_multiplicative(sg, target, element_map)
     return SemigroupMorphism(sg.size, target, element_map, checked)
 
@@ -305,19 +337,13 @@ def restriction_epimorphism(sg: TransSemigroup, subset) -> SemigroupMorphism:
     states = sorted(set(subset))
     if not states:
         raise ValueError("empty subset")
-    state_set = set(states)
-    for gi in sg.generator_indices:
-        g = sg.elements[gi]
-        for x in states:
-            if g(x) not in state_set:
-                raise ValueError(
-                    f"subset not invariant: generator {gi} maps {x} to {g(x)}"
-                )
-    reindex = {x: i for i, x in enumerate(states)}
-    restricted = [
-        tuple(reindex[e(x)] for x in states) for e in sg.elements
-    ]
-    return _image_morphism(sg, restricted)
+    gens = sg.images[list(sg.generator_indices)]
+    outside = np.argwhere(~np.isin(gens[:, states], states))
+    if len(outside):
+        k, i = outside[0]
+        raise ValueError(f"subset not invariant: generator {sg.generator_indices[k]} "
+                         f"maps {states[i]} to {gens[k, states[i]]}")
+    return _image_morphism(sg, np.searchsorted(states, sg.images[:, states]))
 
 
 def factor_epimorphism(sg: TransSemigroup, phi) -> SemigroupMorphism:
@@ -328,31 +354,23 @@ def factor_epimorphism(sg: TransSemigroup, phi) -> SemigroupMorphism:
     phi(x) = phi(y).  Incompatible maps are rejected with a witness pair.
     """
     phi = tuple(phi)
-    n = sg.degree
-    if len(phi) != n:
+    if len(phi) != sg.degree:
         raise ValueError("phi must assign a factor state to every state")
-    k = max(phi) + 1
-    if set(phi) != set(range(k)):
+    if set(phi) != set(range(max(phi) + 1)):
         raise ValueError("phi must be surjective onto an initial segment")
-    classes: dict[int, list[int]] = {}
-    for x, c in enumerate(phi):
-        classes.setdefault(c, []).append(x)
-    for ei, e in enumerate(sg.elements):
-        for members in classes.values():
-            x0 = members[0]
-            for y in members[1:]:
-                if phi[e(x0)] != phi[e(y)]:
-                    raise ValueError(
-                        f"phi not compatible: element {ei} separates states "
-                        f"{x0} and {y} with phi({x0}) = phi({y})"
-                    )
-    induced = []
-    for e in sg.elements:
-        images = [0] * k
-        for c, members in classes.items():
-            images[c] = phi[e(members[0])]
-        induced.append(tuple(images))
-    return _image_morphism(sg, induced)
+    phi = np.array(phi)
+    first = np.unique(phi, return_index=True)[1]  # least state of each class
+    pushed = phi[sg.images]
+    split = pushed != pushed[:, first[phi]]
+    if split.any():
+        ei = int(split.any(axis=1).argmax())
+        y = min(np.flatnonzero(split[ei]).tolist(), key=lambda y: (first[phi[y]], y))
+        x0 = first[phi[y]]
+        raise ValueError(
+            f"phi not compatible: element {ei} separates states "
+            f"{x0} and {y} with phi({x0}) = phi({y})"
+        )
+    return _image_morphism(sg, pushed[:, first])
 
 
 def enumerate_all_ideals(sg: TransSemigroup) -> list[frozenset[int]]:

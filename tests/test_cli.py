@@ -214,6 +214,14 @@ def test_reproduce_rolandex_rejects_zero(tmp_path, option):
     assert "input error" in result.stderr
 
 
+@pytest.mark.parametrize("option", ["--horizon", "--window"])
+def test_reproduce_rejected_input_creates_no_out_dir(tmp_path, option):
+    out_dir = tmp_path / "o1"
+    result = run_cli(["reproduce", "rolandex", option, "0", "--out-dir", str(out_dir)])
+    assert result.returncode == 1
+    assert not out_dir.exists()
+
+
 def test_reproduce_coscos(tmp_path):
     result = run_cli(["reproduce", "coscos", "--out-dir", str(tmp_path)])
     assert result.returncode == 0, result.stderr
