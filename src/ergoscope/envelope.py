@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,13 +63,12 @@ class Verdict(enum.Enum):
 
 
 VERIFY_ALL_MAX = 1000                    # verify zero identities on all elements
-MAX_WORD_LEN = 6                         # word-averaging heuristic depth
 
 
 @dataclass(frozen=True)
 class Budget:
     max_elements: int | None = None      # closure cap; None = global default
-    lp_max_elements: int = 64            # exact refutation cutoff
+    lp_max_elements: int = 64            # kernel size cap for the exact LP
 
 
 def ellis(sys: FiniteSystem, max_elements: int | None = None) -> TransSemigroup:
@@ -171,6 +171,22 @@ class ZeroSearchResult:
     notes: tuple[str, ...] = ()
 
 
+def _absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:
+    """A_t Q = Q A_t = Q, exactly, for the map t with these images.
+
+    Column c of A_t is the point mass at t(c), so column c of Q A_t is
+    column t(c) of Q, and row r of A_t Q is the sum of the rows x of Q
+    with t(x) = r.
+    """
+    rows = q.rows
+    if any(row[t] != row[c] for row in rows for c, t in enumerate(images)):
+        return False
+    sums = [[0] * len(rows) for _ in rows]
+    for x, r in enumerate(images):
+        sums[r] = [a + b for a, b in zip(sums[r], rows[x])]
+    return all(tuple(s) == row for s, row in zip(sums, rows))
+
+
 def _certify(weights: dict[Transformation, Fraction],
              sys: FiniteSystem) -> ZeroCertificate | None:
     """Q = the convex combination of the weighted pushforwards, certified
@@ -182,8 +198,7 @@ def _certify(weights: dict[Transformation, Fraction],
     q = pushforward(witness)
     checks = []
     for name, g in sys.generators:
-        a = adjoint_matrix(g)
-        if a @ q != q or q @ a != q:
+        if not _absorbs(q, g.images):
             return None
         checks.append(f"A[{name}] Q = Q A[{name}] = Q")
     checks.append("Q is a convex combination of semigroup pushforwards")
@@ -202,54 +217,35 @@ def _zero_by_cesaro_product(sys: FiniteSystem) -> ZeroCertificate:
     return cert
 
 
-def _zero_by_word_average(sys: FiniteSystem, max_len: int) -> ZeroCertificate | None:
-    """Equal-weight average over all generator words of length <= L."""
-    gens = sys.generator_maps
-    level = {Transformation.identity(sys.n): 1}
-    counts: dict[Transformation, int] = {}
-    total = 0
-    for _ in range(1, max_len + 1):
-        nxt: dict[Transformation, int] = {}
-        for t, c in level.items():
-            for g in gens:
-                key = g.compose(t)
-                nxt[key] = nxt.get(key, 0) + c
-        level = nxt
-        for t, c in level.items():
-            counts[t] = counts.get(t, 0) + c
-        total = sum(counts.values())
-        weights = {t: Fraction(c, total) for t, c in counts.items()}
-        cert = _certify(weights, sys)
-        if cert is not None:
-            return cert
-    return None
-
-
 def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertificate | None:
-    """Exact linear feasibility over the hull of all semigroup elements.
+    """Exact linear feasibility over the hull of the kernel K.
 
-    Unknown convex weights lambda_i; constraints A_g Q = Q A_g = Q for
-    every generator with Q = sum lambda_i E_i, solved by an exact
-    phase-1 simplex.  A None here is a proof that no zero exists.
+    A zero Q = sum lambda_i A_{s_i} of co(S) lies in co(K): for any k in
+    K, Q = Q A_k = sum lambda_i A_{s_i o k}, and every s_i o k lies in
+    the ideal K.  So the unknowns are convex weights on the elements of
+    K, one per element of ``sorted(kernel(sg))``, with constraints
+    A_g Q = Q A_g = Q for every generator, where A_g A_k = A_{g o k} and
+    A_k A_g = A_{k o g} are again kernel columns.  An exact phase-1
+    simplex solves it, and a None here is a proof that no zero exists.
     """
-    # E_i[r][c] = 1 exactly when elements[i] maps c to r.
-    images = [t.images for t in sg.elements]
-    m = sg.size
-    n = sys.n
+    ker = sorted(kernel(sg))
+    # E_k[r][c] = 1 exactly when kernel element k maps c to r.
+    own = sg.images[ker].tolist()
     rows = []
-    for columns in zip(sg.left.T.tolist(), sg.right.T.tolist()):
-        for r in range(n):
-            for c in range(n):
-                for col in columns:
+    for translates in zip(sg.left[ker].T, sg.right[ker].T):
+        pair = [sg.images[t].tolist() for t in translates]
+        for r in range(sys.n):
+            for c in range(sys.n):
+                for images in pair:
                     rows.append(tuple(
-                        (images[col[i]][c] == r) - (images[i][c] == r) for i in range(m)
+                        (t[c] == r) - (e[c] == r) for t, e in zip(images, own)
                     ))
-    rows.append((Fraction(1),) * m)
+    rows.append((Fraction(1),) * len(ker))
     rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
     solution = rational.lp_feasible_point(rows, rhs)
     if solution is None:
         return None
-    weights = {sg.elements[i]: w for i, w in enumerate(solution) if w > 0}
+    weights = {Transformation(tuple(e)): w for e, w in zip(own, solution) if w > 0}
     cert = _certify(weights, sys)
     if cert is None:
         raise AssertionError("feasible point failed exact verification")
@@ -291,13 +287,13 @@ def convex_koehler_zero(
 
     Commuting generators get the exact Cesàro-product construction,
     which is complete for that class.  Otherwise the cheap exact
-    minimal-set refutation runs first, then a word-averaging heuristic,
-    then linear feasibility over the hull of all elements (complete up
-    to ``budget.lp_max_elements``).  A refutation and an exactly
-    verified word average never both succeed, so the order changes no
-    result.  Beyond those budgets the result is reported as
-    undetermined, never guessed.  ``_ellis`` is the closure, or the
-    ``SizeCapError`` it already raised.
+    minimal-set refutation runs first, then exact linear feasibility
+    over the hull of the Ellis kernel, which is complete because a zero
+    of co(S) lies in co(K) (see ``_zero_by_feasibility``).  When the
+    closure exceeds ``budget.max_elements`` or the kernel exceeds
+    ``budget.lp_max_elements``, the result is reported as undetermined,
+    never guessed.  ``_ellis`` is the closure, or the ``SizeCapError``
+    it already raised.
     """
     budget = budget or Budget()
     if sys.commuting:
@@ -306,9 +302,6 @@ def convex_koehler_zero(
     reason = _zero_refuted_by_minimal_sets(sys)
     if reason is not None:
         return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
-    cert = _zero_by_word_average(sys, MAX_WORD_LEN)
-    if cert is not None:
-        return ZeroSearchResult("found", cert, "word_average")
     sg = _ellis
     if sg is None:
         try:
@@ -316,11 +309,12 @@ def convex_koehler_zero(
         except SizeCapError as exc:
             sg = exc
     if isinstance(sg, SizeCapError):
-        return ZeroSearchResult("undetermined", None, "word_average", (str(sg),))
-    if sg.size > budget.lp_max_elements:
+        return ZeroSearchResult("undetermined", None, "linear_feasibility", (str(sg),))
+    size = len(kernel(sg))
+    if size > budget.lp_max_elements:
         return ZeroSearchResult(
-            "undetermined", None, "word_average",
-            (f"{sg.size} elements exceed the exact-refutation budget "
+            "undetermined", None, "linear_feasibility",
+            (f"{size} kernel elements exceed the exact-refutation budget "
              f"{budget.lp_max_elements}",),
         )
     cert = _zero_by_feasibility(sys, sg)
@@ -331,14 +325,10 @@ def convex_koehler_zero(
 
 def verify_zero_on_all_elements(cert: ZeroCertificate, sg: TransSemigroup) -> int:
     """Q M = M Q = Q for every element pushforward; returns check count."""
-    q = cert.matrix
-    count = 0
-    for t in sg.elements:
-        a = adjoint_matrix(t)
-        if a @ q != q or q @ a != q:
-            raise AssertionError(f"zero identity fails on element {t.images}")
-        count += 2
-    return count
+    for images in sg.images.tolist():
+        if not _absorbs(cert.matrix, images):
+            raise AssertionError(f"zero identity fails on element {tuple(images)}")
+    return 2 * sg.size
 
 
 def zero_rank(cert: ZeroCertificate) -> int:

@@ -321,8 +321,8 @@ def test_report_json_stable():
 
 def test_zero_search_undetermined_beyond_lp_budget():
     # Two non-commuting permutations generating all of S5: the
-    # minimal-set screen cannot refute (one minimal set, bijective),
-    # word averages stay non-uniform, and 120 elements exceed the
+    # minimal-set screen cannot refute (one minimal set, bijective), and
+    # the kernel is the whole group, whose 120 elements exceed the
     # feasibility budget.
     sys_ = FiniteSystem(
         tuple(map(str, range(5))),

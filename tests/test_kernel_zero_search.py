@@ -1,0 +1,89 @@
+"""The zero search over the Ellis kernel, and zero identities on image tuples.
+
+``convex_koehler_zero`` solves its exact LP over the kernel K alone, and
+``_absorbs`` reads A_t Q = Q A_t = Q off the image tuple of t.  The
+reference for the latter is the pair of exact matrix products.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergoscope.envelope import (
+    _absorbs,
+    cesaro_limit_of_map,
+    classify,
+    ellis,
+    verify_zero_on_all_elements,
+)
+from ergoscope.operators import OperatorMatrix, adjoint_matrix, pushforward
+from ergoscope.systems import random_system
+from ergoscope.transforms import Transformation, kernel
+
+
+@st.composite
+def map_and_matrix(draw):
+    """A map t and a matrix Q that absorbs A_t on neither, one or both sides.
+
+    P, the Cesàro limit of the powers of A_t, satisfies A_t P = P A_t = P,
+    so P B absorbs A_t from the left, B P from the right and P B P from
+    both, while a plain B usually absorbs it on neither side.
+    """
+    n = draw(st.integers(1, 5))
+    t = Transformation(draw(st.tuples(*[st.integers(0, n - 1)] * n)))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    b = OperatorMatrix(tuple(
+        tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n)
+    ))
+    p = pushforward(cesaro_limit_of_map(t).items())
+    sides = draw(st.sampled_from(["neither", "left", "right", "both"]))
+    q = {"neither": b, "left": p @ b, "right": b @ p, "both": p @ b @ p}[sides]
+    return t, q, sides
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_and_matrix())
+def test_absorbs_matches_matrix_products(case):
+    t, q, sides = case
+    a = adjoint_matrix(t)
+    left, right = a @ q == q, q @ a == q
+    assert _absorbs(q, t.images) == (left and right)
+    assert _absorbs(q, list(t.images)) == (left and right)
+    if sides in ("left", "both"):
+        assert left
+    if sides in ("right", "both"):
+        assert right
+
+
+def test_absorbs_tells_the_two_sides_apart():
+    # t sends both states to 0; A_t = [[1, 1], [0, 0]].
+    t = Transformation((0, 0))
+    a = adjoint_matrix(t)
+    only_left = OperatorMatrix.from_rows([[1, 0], [0, 0]])
+    only_right = OperatorMatrix.from_rows([[0, 0], [1, 1]])
+    assert a @ only_left == only_left and only_left @ a != only_left
+    assert only_right @ a == only_right and a @ only_right != only_right
+    assert not _absorbs(only_left, t.images)
+    assert not _absorbs(only_right, t.images)
+    assert _absorbs(OperatorMatrix.from_rows([[1, 1], [0, 0]]), t.images)
+
+
+@pytest.mark.parametrize("n, g, seed, size", [(5, 3, 9, 103), (8, 3, 2, 3_596)])
+def test_one_element_kernel_gets_a_zero(n, g, seed, size):
+    sys_ = random_system(n, g, seed=seed)
+    sg = ellis(sys_)
+    assert (sg.size, len(kernel(sg))) == (size, 1)
+    report = classify(sys_)
+    assert report.zero.status == "found"
+    assert report.zero.method == "linear_feasibility"
+    assert report.weak_star_mean_ergodic.value == "true"
+    cert = report.zero.certificate
+    (z,) = kernel(sg)
+    assert cert.witness == ((Transformation(tuple(sg.images[z].tolist())), Fraction(1)),)
+    assert verify_zero_on_all_elements(cert, sg) == 2 * size
+    not_a_zero = dataclasses.replace(cert, matrix=OperatorMatrix.identity(n))
+    with pytest.raises(AssertionError, match="zero identity fails on element"):
+        verify_zero_on_all_elements(not_a_zero, sg)

@@ -3,24 +3,31 @@ the zero search against the searches they replaced.
 
 ``kernel`` reads the least-rank elements, ``zero`` reads a one-element
 kernel, ``classify`` takes the strict transitivity witness and
-``convex_koehler_zero`` refutes before it averages.  The references below
-are the earlier definitions: the principal ideal of the product of all
-elements, the common right and left zeros, the identity-based witness
-choice and the averaging-first search order.
+``convex_koehler_zero`` refutes, then solves the exact LP over the Ellis
+kernel.  The references below are the earlier definitions: the principal
+ideal of the product of all elements, the common right and left zeros,
+the identity-based witness choice, and the search that averaged generator
+words before an LP over the whole closure, with zero identities checked
+by exact matrix products.
 """
+
+import dataclasses
+from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from ergoscope import envelope
+from ergoscope import envelope, rational
 from ergoscope.envelope import (
-    MAX_WORD_LEN,
     Budget,
+    ZeroCertificate,
     ZeroSearchResult,
     classify,
     convex_koehler_zero,
     report_to_json_dict,
+    verify_zero_on_all_elements,
 )
+from ergoscope.operators import adjoint_matrix, pushforward
 from ergoscope.systems import FiniteSystem, random_system, transitivity
 from ergoscope.transforms import (
     SizeCapError,
@@ -78,17 +85,77 @@ def ref_witness(sys_, sg):
     return trans.witness if has_identity else trans.strict_witness
 
 
+REF_MAX_WORD_LEN = 6
+
+
+def ref_certify(weights, sys_):
+    total = sum(weights.values())
+    if total != 1 or any(w < 0 for w in weights.values()):
+        return None
+    witness = tuple(sorted(weights.items(), key=lambda kv: kv[0].images))
+    q = pushforward(witness)
+    checks = []
+    for name, g in sys_.generators:
+        a = adjoint_matrix(g)
+        if a @ q != q or q @ a != q:
+            return None
+        checks.append(f"A[{name}] Q = Q A[{name}] = Q")
+    checks.append("Q is a convex combination of semigroup pushforwards")
+    return ZeroCertificate(q, witness, tuple(checks))
+
+
+def ref_word_average(sys_, max_len):
+    gens = sys_.generator_maps
+    level = {Transformation.identity(sys_.n): 1}
+    counts = {}
+    for _ in range(max_len):
+        nxt = {}
+        for t, c in level.items():
+            for g in gens:
+                key = g.compose(t)
+                nxt[key] = nxt.get(key, 0) + c
+        level = nxt
+        for t, c in level.items():
+            counts[t] = counts.get(t, 0) + c
+        total = sum(counts.values())
+        cert = ref_certify({t: Fraction(c, total) for t, c in counts.items()}, sys_)
+        if cert is not None:
+            return cert
+    return None
+
+
+def ref_feasibility(sys_, sg):
+    images = [t.images for t in sg.elements]
+    m, n = sg.size, sys_.n
+    rows = []
+    for columns in zip(sg.left.T.tolist(), sg.right.T.tolist()):
+        for r in range(n):
+            for c in range(n):
+                for col in columns:
+                    rows.append(tuple(
+                        (images[col[i]][c] == r) - (images[i][c] == r) for i in range(m)
+                    ))
+    rows.append((Fraction(1),) * m)
+    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
+    solution = rational.lp_feasible_point(rows, rhs)
+    if solution is None:
+        return None
+    cert = ref_certify({sg.elements[i]: w for i, w in enumerate(solution) if w > 0}, sys_)
+    assert cert is not None
+    return cert
+
+
 def ref_convex_koehler_zero(sys_, budget=None):
     budget = budget or Budget()
     if sys_.commuting:
         cert = envelope._zero_by_cesaro_product(sys_)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    cert = envelope._zero_by_word_average(sys_, MAX_WORD_LEN)
-    if cert is not None:
-        return ZeroSearchResult("found", cert, "word_average")
     reason = envelope._zero_refuted_by_minimal_sets(sys_)
     if reason is not None:
         return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
+    cert = ref_word_average(sys_, REF_MAX_WORD_LEN)
+    if cert is not None:
+        return ZeroSearchResult("found", cert, "word_average")
     try:
         sg = envelope.ellis(sys_, budget.max_elements)
     except SizeCapError as exc:
@@ -99,7 +166,7 @@ def ref_convex_koehler_zero(sys_, budget=None):
             (f"{sg.size} elements exceed the exact-refutation budget "
              f"{budget.lp_max_elements}",),
         )
-    cert = envelope._zero_by_feasibility(sys_, sg)
+    cert = ref_feasibility(sys_, sg)
     if cert is None:
         return ZeroSearchResult("absent", None, "linear_feasibility")
     return ZeroSearchResult("found", cert, "linear_feasibility")
@@ -124,34 +191,54 @@ def test_least_rank_kernel_and_zero_match_ideal_search(sys_):
 
 @HYPOTHESIS
 @given(systems())
-# Non-commuting systems that reach each later stage of the search: the
+# Non-commuting systems that reach each stage of the earlier search: the
 # word average (S3), the exact LP, a closure above a cap of 37, and a
-# closure above the LP budget of 64.
+# closure above the LP budget of 64, with a kernel of 120 (S5) and of 1;
+# and an LP whose witness is 3 of the 6 kernel elements.
 @example(system_of([(1, 0, 2), (1, 2, 0)]))
 @example(system_of([(0, 1, 0), (2, 1, 1)]))
 @example(system_of([(2, 1, 3, 3), (0, 0, 1, 3), (2, 0, 1, 3)]))
 @example(system_of([(4, 1, 4, 2, 0), (2, 1, 3, 4, 1)]))
+@example(system_of([(3, 4, 2, 2, 1), (1, 0, 2, 4, 3), (4, 0, 2, 4, 4)]))
+@example(system_of([(1, 3, 4, 2, 3, 3), (3, 1, 3, 2, 4, 5)]))
 def test_classify_witness_and_zero_search_match_earlier_order(sys_):
     sg = small_closure(sys_)
     report = classify(sys_)
     assert report.transitive == ref_witness(sys_, sg)
+    unbudgeted = Budget(max_elements=MAX_ELEMENTS, lp_max_elements=MAX_ELEMENTS)
     for budget in (Budget(), Budget(max_elements=MAX_ELEMENTS // 4),
                    Budget(lp_max_elements=8)):
         new = convex_koehler_zero(sys_, budget)
         old = ref_convex_koehler_zero(sys_, budget)
-        assert (new.status, new.method, new.notes) == (old.status, old.method, old.notes)
-        assert witness_of(new) == witness_of(old)
+        if old.status == "undetermined":
+            # The kernel LP may decide where the closure exceeded the LP
+            # budget; its verdict is the one the unbudgeted LP over the
+            # whole closure reaches, and a zero is unique.
+            assert new.method == "linear_feasibility"
+            if new.status != "undetermined":
+                full = ref_convex_koehler_zero(sys_, unbudgeted)
+                assert new.status == full.status
+                assert new.status == "absent" or (
+                    new.certificate.matrix == full.certificate.matrix)
+            if new.status == "found":
+                verify_zero_on_all_elements(new.certificate, sg)
+        elif old.method == "word_average":
+            assert (new.status, new.method) == ("found", "linear_feasibility")
+            assert new.certificate.matrix == old.certificate.matrix
+        else:
+            assert (new.status, new.method, new.notes) == (old.status, old.method, old.notes)
+            assert witness_of(new) == witness_of(old)
 
 
-def test_zero_search_refutes_before_averaging(monkeypatch):
+def test_zero_search_refutes_before_the_lp(monkeypatch):
     # Two constant maps: each is a fixed point of itself, so the orbit
     # closure of either state holds two measure-carrying minimal sets.
     sys_ = FiniteSystem(("0", "1"), (("c0", Transformation((0, 0))),
                                      ("c1", Transformation((1, 1)))))
     calls = []
-    average = envelope._zero_by_word_average
-    monkeypatch.setattr(envelope, "_zero_by_word_average",
-                        lambda *args: calls.append(args) or average(*args))
+    feasibility = envelope._zero_by_feasibility
+    monkeypatch.setattr(envelope, "_zero_by_feasibility",
+                        lambda *args: calls.append(args) or feasibility(*args))
     report = classify(sys_)
     assert report.zero.method == "minimal_set_refutation"
     assert calls == []
@@ -160,7 +247,8 @@ def test_zero_search_refutes_before_averaging(monkeypatch):
 def test_capped_classify_builds_the_closure_once(monkeypatch):
     sys_ = random_system(6, 3, seed=63)
     budget = Budget(max_elements=50)
-    expected = ref_convex_koehler_zero(sys_, budget)
+    expected = dataclasses.replace(ref_convex_koehler_zero(sys_, budget),
+                                   method="linear_feasibility")
     calls = []
     closure = envelope.generate_closure
     monkeypatch.setattr(envelope, "generate_closure",

@@ -27,7 +27,7 @@ from ergoscope.operators import (
 )
 from ergoscope.rational import ONE, ZERO
 from ergoscope.systems import FiniteSystem
-from ergoscope.transforms import SizeCapError, Transformation
+from ergoscope.transforms import SizeCapError, Transformation, kernel
 
 F = Fraction
 
@@ -83,18 +83,19 @@ def ref_walk(generators, n):
 
 def ref_feasibility_rows(sg):
     mats = [ref_adjoint(t) for t in sg.elements]
+    ker = sorted(kernel(sg))
     n = sg.degree
     rows = []
     for left, right in zip(sg.left.T.tolist(), sg.right.T.tolist()):
         for r in range(n):
             for c in range(n):
                 rows.append(tuple(
-                    mats[left[i]].rows[r][c] - mats[i].rows[r][c] for i in range(sg.size)
+                    mats[left[i]].rows[r][c] - mats[i].rows[r][c] for i in ker
                 ))
                 rows.append(tuple(
-                    mats[right[i]].rows[r][c] - mats[i].rows[r][c] for i in range(sg.size)
+                    mats[right[i]].rows[r][c] - mats[i].rows[r][c] for i in ker
                 ))
-    rows.append((ONE,) * sg.size)
+    rows.append((ONE,) * len(ker))
     return rows
 
 
@@ -240,7 +241,8 @@ def test_folner_net_rejects_non_commuting_and_empty_generators():
         folner_net([], [2])
 
 
-# The exact LP reads its 0/1 entries from image tuples.
+# The exact LP reads its 0/1 entries from image tuples, one column per
+# kernel element.
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(maps(n), min_size=1, max_size=3)))
