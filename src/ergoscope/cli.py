@@ -138,23 +138,27 @@ def _subshift_word(spec: dict) -> tuple[BinaryWord, int]:
     return word, window
 
 
+def _subshift_fields(report) -> dict:
+    """The JSON fields of a subshift classification report."""
+    return {
+        "window": report.window,
+        "horizon": report.horizon,
+        "fixed_windows": ["".join(map(str, w)) for w in report.fixed],
+        "minimal_candidates": [
+            sorted("".join(map(str, w)) for w in c)
+            for c in report.minimal_candidates
+        ],
+        "weak_star_mean_ergodic": report.weak_star_mean_ergodic,
+        "note": report.note,
+    }
+
+
 def cmd_classify(args) -> int:
     doc = _load_descriptor(args.input)
     if "subshift" in doc:
         word, window = _subshift_word(doc["subshift"])
         report = classify_subshift(word, window)
-        payload = {
-            "type": "subshift",
-            "window": report.window,
-            "horizon": report.horizon,
-            "fixed_windows": ["".join(map(str, w)) for w in report.fixed],
-            "minimal_candidates": [
-                sorted("".join(map(str, w)) for w in c)
-                for c in report.minimal_candidates
-            ],
-            "weak_star_mean_ergodic": report.weak_star_mean_ergodic,
-            "note": report.note,
-        }
+        payload = {"type": "subshift", **_subshift_fields(report)}
         _emit(_json_text(payload), args.json_out)
         return EXIT_OK if report.weak_star_mean_ergodic != "undetermined" else EXIT_UNDETERMINED
     if "grid" in doc:
@@ -270,15 +274,7 @@ def cmd_reproduce(args) -> int:
         values = cesaro_trace(word, FIRST_COORDINATE, ns)
         payload = {
             "name": "rolandex",
-            "window": window,
-            "horizon": horizon,
-            "fixed_windows": ["".join(map(str, w)) for w in report.fixed],
-            "minimal_candidates": [
-                sorted("".join(map(str, w)) for w in c)
-                for c in report.minimal_candidates
-            ],
-            "weak_star_mean_ergodic": report.weak_star_mean_ergodic,
-            "note": report.note,
+            **_subshift_fields(report),
             "first_coordinate_trace": [
                 {"N": n, "value": str(v)} for n, v in zip(ns, values)
             ],

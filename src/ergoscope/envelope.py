@@ -35,9 +35,7 @@ from .operators import (
     OperatorMatrix,
     adjoint_matrix,
     decomposition_check,
-    fixed_space,
     invariant_measures,
-    koopman_matrix,
     pushforward,
     separation_check,
 )
@@ -94,10 +92,9 @@ class MatrixSemigroup:
         return len(self.elements)
 
 
-def koehler(sys: FiniteSystem, max_elements: int | None = None,
-            _ellis: TransSemigroup | None = None) -> MatrixSemigroup:
+def koehler(sys: FiniteSystem, max_elements: int | None = None) -> MatrixSemigroup:
     """Pushforward matrices of every Ellis element, bridge verified."""
-    sg = _ellis if _ellis is not None else ellis(sys, max_elements)
+    sg = ellis(sys, max_elements)
     mats = tuple(adjoint_matrix(t) for t in sg.elements)
     check = range(sg.size) if sg.size <= 64 else sg.generator_indices
     for i in check:
@@ -128,12 +125,7 @@ def cesaro_limit_of_map(t: Transformation) -> dict[Transformation, Fraction]:
     preperiod.  Returned as weights on transformations.
     """
     preperiod, period, powers = power_periodicity(t)
-    w = Fraction(1, period)
-    weights: dict[Transformation, Fraction] = {}
-    for j in range(preperiod, preperiod + period):
-        s = powers[j]
-        weights[s] = weights.get(s, Fraction(0)) + w
-    return weights
+    return {s: Fraction(1, period) for s in powers[preperiod:]}
 
 
 def _convolve(a: dict[Transformation, Fraction],
@@ -261,16 +253,14 @@ def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
     contain two measure-carrying minimal sets.  Either failure proves
     the zero absent.
     """
-    from .systems import orbit
-
     msets = minimal_sets(sys)
     supports = {mu.support for mu in invariant_measures(sys)}
     for m in msets:
         if m not in supports:
             return f"minimal set {sorted(m)} carries no invariant measure"
     if len(supports) >= 2:
-        for x in range(sys.n):
-            states = orbit(sys, x).states
+        for x, reach in enumerate(sys.reach):
+            states = reach | {x}
             inside = [s for s in supports if s <= states]
             if len(inside) >= 2:
                 return (f"orbit closure of state {x} contains "
@@ -483,10 +473,8 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     # Cross-checks.  For commuting generators the equivalences are
     # theorems and any disagreement is a hard error; otherwise genuine
     # disagreement is possible and is recorded instead.
-    fix_fn = fixed_space([koopman_matrix(g) for g in sys.generator_maps])
-    fix_meas = fixed_space([adjoint_matrix(g) for g in sys.generator_maps])
-    sep = separation_check(fix_fn, fix_meas)
     dec = decomposition_check(sys)
+    sep = separation_check(dec.fix_functions, dec.fix_measures)
     if sys.commuting:
         assert search.status == "found", "commuting systems always admit a zero"
         assert sep and dec.direct_sum, (

@@ -26,9 +26,7 @@ def matrix_powers(m: OperatorMatrix, count: int) -> list[OperatorMatrix]:
 
 def cesaro(m: OperatorMatrix, n: int) -> OperatorMatrix:
     """Exact (1/N) sum of the first N powers; cesaro(M, 1) = I."""
-    if n < 1:
-        raise ValueError("need N >= 1")
-    return convex_combination((p, Fraction(1, n)) for p in matrix_powers(m, n))
+    return folner_box([m], n)
 
 
 def _power_bound(m: OperatorMatrix) -> Fraction:

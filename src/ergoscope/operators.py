@@ -224,10 +224,15 @@ class DecompositionReport:
     dim_fix: int
     dim_range_span: int
     direct_sum: bool
+    fix_functions: tuple[Row, ...]
+    fix_measures: tuple[Row, ...]
 
 
 def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
-    """Does fix(S) + lin rg(Id - S) split the whole function space?"""
+    """Does fix(S) + lin rg(Id - S) split the whole function space?
+
+    Also returns exact bases of the fixed functions and fixed measures.
+    """
     n = sys.n
     koopman = [koopman_matrix(g) for g in sys.generator_maps]
     fix_basis = fixed_space(koopman)
@@ -237,8 +242,13 @@ def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
         diff = rational.mat_sub(eye, m.rows)
         cols = list(zip(*diff))
         range_vectors.extend(cols)
+    # Range vector y of I - M_g is e_y - 1_{g^-1(y)}, row y of A_g - I
+    # with the sign flipped.  So the range vectors span the row space of
+    # the stacked A_g - I: their null space is the fixed measures, and by
+    # rank-nullity they span n minus its dimension.
+    fix_measures = rational.nullspace(range_vectors, n)
     dim_fix = len(fix_basis)
-    dim_range = rational.rank(range_vectors) if range_vectors else 0
+    dim_range = n - len(fix_measures)
     combined = rational.rank(list(fix_basis) + range_vectors)
     direct = combined == dim_fix + dim_range and dim_fix + dim_range == n
-    return DecompositionReport(dim_fix, dim_range, direct)
+    return DecompositionReport(dim_fix, dim_range, direct, fix_basis, fix_measures)

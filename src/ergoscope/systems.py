@@ -62,6 +62,20 @@ class FiniteSystem:
             for b in maps[i + 1:]
         )
 
+    @cached_property
+    def reach(self) -> tuple[frozenset[int], ...]:
+        """Sx for every state x: the states some nonempty generator word
+        sends x to, found once per system by one search from each state."""
+        maps = self.generator_maps
+        found = []
+        for x in range(self.n):
+            seen, frontier = set(), {x}
+            while frontier:
+                frontier = {g(y) for y in frontier for g in maps} - seen
+                seen |= frontier
+            found.append(frozenset(seen))
+        return tuple(found)
+
     def system_id(self) -> str:
         if self.name:
             return self.name
@@ -91,17 +105,7 @@ class Orbit:
 def orbit(sys: FiniteSystem, x: int) -> Orbit:
     if not (0 <= x < sys.n):
         raise ValueError(f"state {x} out of range")
-    maps = sys.generator_maps
-    seen = {g(x) for g in maps}
-    frontier = list(seen)
-    while frontier:
-        y = frontier.pop()
-        for g in maps:
-            z = g(y)
-            if z not in seen:
-                seen.add(z)
-                frontier.append(z)
-    return Orbit(x, frozenset(seen | {x}), frozenset(seen))
+    return Orbit(x, sys.reach[x] | {x}, sys.reach[x])
 
 
 def minimal_sets(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
@@ -110,10 +114,9 @@ def minimal_sets(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
     A set is minimal exactly when it is the orbit closure of each of its
     points, i.e. a sink strongly connected component of the one-step graph.
     """
-    closures = [orbit(sys, x).states for x in range(sys.n)]
+    closures = [r | {x} for x, r in enumerate(sys.reach)]
     found = []
-    for x in range(sys.n):
-        c = closures[x]
+    for c in closures:
         if all(closures[y] == c for y in c) and c not in found:
             found.append(c)
     return tuple(sorted(found, key=min))
@@ -129,16 +132,8 @@ class TransitivityReport:
 
 def transitivity(sys: FiniteSystem) -> TransitivityReport:
     everything = frozenset(range(sys.n))
-    witness = None
-    strict = None
-    for x in range(sys.n):
-        o = orbit(sys, x)
-        if witness is None and o.states == everything:
-            witness = x
-        if strict is None and o.semigroup_orbit == everything:
-            strict = x
-        if witness is not None and strict is not None:
-            break
+    witness = next((x for x, r in enumerate(sys.reach) if r | {x} == everything), None)
+    strict = next((x for x, r in enumerate(sys.reach) if r == everything), None)
     return TransitivityReport(witness, strict)
 
 

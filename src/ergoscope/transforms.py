@@ -154,10 +154,12 @@ class TransSemigroup:
         return table
 
     def index_of(self, t: Transformation) -> int:
-        keys, key = _keys(self.images), _keys(np.array([t.images]))
-        if t.degree != self.degree or not _member(keys, key)[0]:
+        if t.degree != self.degree:
             raise KeyError(t)
-        return int(np.searchsorted(keys, key)[0])
+        i = int(np.searchsorted(_keys(self.images), _keys(np.array([t.images])))[0])
+        if i == self.size or self.images[i].tolist() != list(t.images):
+            raise KeyError(t)
+        return i
 
 
 def _semigroup(rows: np.ndarray, gen_rows: np.ndarray) -> TransSemigroup:
@@ -177,12 +179,28 @@ def _semigroup(rows: np.ndarray, gen_rows: np.ndarray) -> TransSemigroup:
                           left=graph(lambda g: g[images]))
 
 
-def _member(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of ``keys`` occur in the sorted ``table``."""
-    pos = np.searchsorted(table, keys)
-    found = pos < len(table)
-    found[found] = table[pos[found]] == keys[found]
-    return found
+def _search(gen_rows: np.ndarray, cap: int) -> np.ndarray:
+    """Every row reached from ``gen_rows`` by right generator steps, once each.
+
+    One set holds the key (:func:`_keys`) of every row found; a level of
+    translates keeps the rows whose keys it has not seen.
+    """
+    seen: set[bytes] = set()
+
+    def fresh(rows: np.ndarray) -> np.ndarray:
+        keep = []
+        for i, key in enumerate(_keys(rows).tolist()):
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        return rows[keep]
+
+    levels = [fresh(gen_rows)]
+    while len(levels[-1]):
+        if len(seen) > cap:
+            raise SizeCapError(f"semigroup closure exceeds element cap {cap}")
+        levels.append(fresh(levels[-1][:, gen_rows].reshape(-1, gen_rows.shape[1])))
+    return np.concatenate(levels)
 
 
 def generate_closure(
@@ -193,9 +211,9 @@ def generate_closure(
     A breadth-first search over right translates, which reach the whole
     closure since every product of generators is a chain of them:
     ``F[:, g]`` composes a whole frontier ``F`` with a generator ``g``.
-    Rows are told apart by their exact keys (:func:`_keys`), found by
-    binary search among the known ones; newly found keys wait in a small
-    sorted tier until its size squared passes the size of the main one.
+    The search (:func:`_search`) keeps one set of the exact keys found so
+    far, as Froidure & Pin (1997) keep one table of the elements; the set
+    is freed before the generator graphs are built.
 
     Raises :class:`SizeCapError` exactly when the closure has more
     elements than the cap (``ERGOSCOPE_MAX_ELEMENTS`` overrides the
@@ -208,24 +226,8 @@ def generate_closure(
     if any(g.degree != n for g in gens):
         raise ValueError("generators act on state sets of different sizes")
     cap = element_cap() if max_elements is None else max_elements
-
     gen_rows = np.array([g.images for g in gens], dtype=np.int32)
-    known, first = np.unique(_keys(gen_rows), return_index=True)
-    recent = known[:0]
-    levels = [gen_rows[first]]
-    count = len(first)
-    while len(levels[-1]):
-        if count > cap:
-            raise SizeCapError(f"semigroup closure exceeds element cap {cap}")
-        translates = levels[-1][:, gen_rows].reshape(-1, n)
-        keys, first = np.unique(_keys(translates), return_index=True)
-        fresh = ~(_member(known, keys) | _member(recent, keys))
-        recent = np.insert(recent, np.searchsorted(recent, keys[fresh]), keys[fresh])
-        if len(recent) ** 2 > len(known):
-            known, recent = np.insert(known, np.searchsorted(known, recent), recent), recent[:0]
-        levels.append(translates[first[fresh]])
-        count += len(levels[-1])
-    return _semigroup(np.concatenate(levels), gen_rows)
+    return _semigroup(_search(gen_rows, cap), gen_rows)
 
 
 def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:

@@ -196,9 +196,18 @@ def swap(n, x, y):
     return tuple({x: y, y: x}.get(z, z) for z in range(n))
 
 
+def cycles(n, lengths):
+    """A permutation with one cycle of each length on the first states."""
+    image, start = list(range(n)), 0
+    for c in lengths:
+        image[start:start + c] = [start + (i + 1) % c for i in range(c)]
+        start += c
+    return tuple(image)
+
+
 @pytest.mark.parametrize("n", [15, 16])
 @pytest.mark.parametrize("family", ["last_state_only", "dihedral_and_constant",
-                                    "two_idempotents_and_a_swap"])
+                                    "two_idempotents_and_a_swap", "one_long_permutation"])
 def test_closure_matches_where_keys_first_need_two_columns(n, family):
     gens = {
         # Two maps that differ only at the last state.
@@ -206,6 +215,8 @@ def test_closure_matches_where_keys_first_need_two_columns(n, family):
         "dihedral_and_constant": [shift(n), tuple((-x) % n for x in range(n)), (0,) * n],
         "two_idempotents_and_a_swap": [fix_all_but(n, n - 1, n - 2), fix_all_but(n, 0, 1),
                                        swap(n, n - 2, n - 1)],
+        # Order 105: the search has 105 levels of one element each.
+        "one_long_permutation": [cycles(n, (3, 5, 7))],
     }[family]
     assert_matches_reference(gens, ref_closure(gens, MAX_ELEMENTS))
     assert _keys(np.array(gens)).dtype.itemsize == (8 if n <= 15 else 16)
