@@ -239,6 +239,8 @@ def cmd_trace(args) -> int:
         text = _csv_text(("N", "value", "value_float"), trace_csv_rows(ns, values))
         _emit(text, args.csv_out)
         return EXIT_OK
+    if args.N < 1:
+        raise InputError("need N >= 1")
     sys_ = _system_from_descriptor(doc)
     adjoints = [adjoint_matrix(g) for g in sys_.generator_maps]
     ns = [2**k for k in range(1, args.N.bit_length() + 1) if 2**k <= args.N] or [1]

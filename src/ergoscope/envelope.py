@@ -441,7 +441,7 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     try:
         sg = ellis(sys, budget.max_elements)
         ellis_size = sg.size
-        kernel_size = len(kernel(sg))
+        kernel_size = kernel_image_check(sys, _ellis=sg).kernel_size
     except SizeCapError as exc:
         capped = exc
         notes.append(f"size cap reached: {exc}")
@@ -501,9 +501,6 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
         f"decomposition {dec.dim_fix}+{dec.dim_range_span}"
         f"{'=' if dec.direct_sum else '!='}{sys.n}"
     )
-
-    if sg is not None:
-        kernel_image_check(sys, _ellis=sg)
 
     # Implication chain: unique => norm => weak*.
     order = {Verdict.FALSE: 0, Verdict.UNDETERMINED: 1, Verdict.TRUE: 2}

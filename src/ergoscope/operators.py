@@ -14,7 +14,7 @@ from functools import cached_property
 
 from . import rational
 from .rational import ONE, ZERO, Row
-from .systems import FiniteSystem, minimal_sets
+from .systems import FiniteSystem, congruence_closure, minimal_sets
 from .transforms import Transformation
 
 
@@ -177,9 +177,7 @@ def invariant_measures(sys: FiniteSystem) -> tuple[Measure, ...]:
         if all(len({g(x) for x in m}) == len(m) for g in maps):
             extremes.append(Measure.uniform_on(sys.n, m))
     for mu in extremes:
-        assert all(
-            adjoint_on_measure(koopman_matrix(g), mu) == mu for g in maps
-        )
+        assert all(sorted(map(g, mu.support)) == sorted(mu.support) for g in maps)
     if sys.commuting:
         # Commuting maps always share a fixed probability vector.
         assert extremes, "commuting system lost its invariant measure"
@@ -228,27 +226,29 @@ class DecompositionReport:
     fix_measures: tuple[Row, ...]
 
 
+def _indicators(n: int, blocks) -> tuple[Row, ...]:
+    """1_B for each of the disjoint blocks B, ordered by max(B)."""
+    return tuple(tuple(ONE if x in b else ZERO for x in range(n))
+                 for b in sorted(blocks, key=max))
+
+
 def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
     """Does fix(S) + lin rg(Id - S) split the whole function space?
 
-    Also returns exact bases of the fixed functions and fixed measures.
+    Also returns exact bases of both fixed spaces, read off the state
+    graph.  f o g = f for all g iff f is constant on each component C of
+    the undirected graph x -- g(x).  A_g mu = mu gives A_g|mu| >= |mu|
+    with equal mass, so |mu| is fixed: the fixed measures form a lattice,
+    spanned by 1_M for the supports M of the invariant measures.  Disjoint
+    indicators ordered by max are the canonical basis of ``fixed_space``,
+    whose free column in each block is its largest state.  lin rg(Id - S)
+    is the annihilator of the fixed measures, of dimension n - #M, and it
+    complements fix(S) exactly when every component holds exactly one M.
     """
     n = sys.n
-    koopman = [koopman_matrix(g) for g in sys.generator_maps]
-    fix_basis = fixed_space(koopman)
-    eye = rational.identity_rows(n)
-    range_vectors = []
-    for m in koopman:
-        diff = rational.mat_sub(eye, m.rows)
-        cols = list(zip(*diff))
-        range_vectors.extend(cols)
-    # Range vector y of I - M_g is e_y - 1_{g^-1(y)}, row y of A_g - I
-    # with the sign flipped.  So the range vectors span the row space of
-    # the stacked A_g - I: their null space is the fixed measures, and by
-    # rank-nullity they span n minus its dimension.
-    fix_measures = rational.nullspace(range_vectors, n)
-    dim_fix = len(fix_basis)
-    dim_range = n - len(fix_measures)
-    combined = rational.rank(list(fix_basis) + range_vectors)
-    direct = combined == dim_fix + dim_range and dim_fix + dim_range == n
-    return DecompositionReport(dim_fix, dim_range, direct, fix_basis, fix_measures)
+    phi = congruence_closure(sys, [(x, g(x)) for g in sys.generator_maps for x in range(n)])
+    components = [frozenset(x for x in range(n) if phi[x] == c) for c in range(max(phi) + 1)]
+    supports = [mu.support for mu in invariant_measures(sys)]
+    direct = all(sum(m <= c for m in supports) == 1 for c in components)
+    return DecompositionReport(len(components), n - len(supports), direct,
+                               _indicators(n, components), _indicators(n, supports))

@@ -149,6 +149,14 @@ def test_trace_folner_rejects_non_commuting(tmp_path):
     assert "Følner box averages need commuting generators" in result.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_trace_rejects_n_below_one(tmp_path, n):
+    path = write_descriptor(tmp_path, CYCLIC)
+    result = run_cli(["trace", path, "--N", n])
+    assert result.returncode == 1
+    assert "need N >= 1" in result.stderr
+
+
 def test_classify_subshift_descriptor(tmp_path):
     doc = {"subshift": {"generator": "explicit", "bits": "01" * 10, "window": 2}}
     path = write_descriptor(tmp_path, doc)

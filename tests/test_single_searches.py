@@ -1,12 +1,15 @@
-"""Each search runs once: the state graph's reach and the fixed-space eliminations.
+"""Each search runs once, and the fixed spaces are read off the state graph.
 
 ``FiniteSystem.reach`` holds Sx for every state x, and ``orbit``,
 ``minimal_sets``, ``transitivity`` and the minimal-set refutation read
 it.  The references below are the earlier definitions, which searched
 the state graph again from each state on every call.
-``decomposition_check`` returns the fixed functions and the fixed
-measures it eliminated, and ``classify`` hands them to the separation
-check instead of eliminating both spaces again.
+``decomposition_check`` reads the fixed functions off the components of
+the generator graph and the fixed measures off the supports of the
+invariant measures, with no Koopman matrix and no elimination; its
+reference is the earlier three-elimination definition.  ``classify``
+hands both bases to the separation check, whose gram rank is then the
+only elimination left in the cross-check.
 """
 
 from functools import cached_property
@@ -15,14 +18,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergoscope import rational, systems
+from ergoscope import envelope, operators, rational, systems
 from ergoscope.envelope import _zero_refuted_by_minimal_sets, classify
 from ergoscope.operators import (
+    DecompositionReport,
     adjoint_matrix,
     decomposition_check,
     fixed_space,
     invariant_measures,
     koopman_matrix,
+    separation_check,
 )
 from ergoscope.systems import (
     FiniteSystem,
@@ -153,6 +158,67 @@ def test_decomposition_bases_are_the_fixed_spaces(sys_):
     assert dec.dim_range_span == rational.rank(range_vectors)
 
 
+def ref_decomposition_check(sys_):
+    """The earlier definition: three exact eliminations over Koopman matrices."""
+    n = sys_.n
+    koopman = [koopman_matrix(g) for g in sys_.generator_maps]
+    fix_basis = fixed_space(koopman)
+    eye = rational.identity_rows(n)
+    range_vectors = [col for m in koopman for col in zip(*rational.mat_sub(eye, m.rows))]
+    fix_measures = rational.nullspace(range_vectors, n)
+    dim_fix = len(fix_basis)
+    dim_range = n - len(fix_measures)
+    combined = rational.rank(list(fix_basis) + range_vectors)
+    direct = combined == dim_fix + dim_range and dim_fix + dim_range == n
+    return DecompositionReport(dim_fix, dim_range, direct, fix_basis, fix_measures)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_systems())
+# The identity on 4 states: 4 components, each one support.
+@example(system_of((0, 1, 2, 3)))
+# Components {0, 1}, {2} and {3, 4, 5} hold 0, 1 and 2 supports: g1
+# merges the minimal set {0, 1}, and 5 reaches the fixed points 3 and 4.
+@example(system_of((1, 0, 2, 3, 4, 3), (0, 0, 2, 3, 4, 4)))
+# Each failure alone: one component holding the supports {0} and {1};
+# then the component {0, 1} holding none beside {2} holding one.
+@example(system_of((0, 1, 0), (0, 1, 1)))
+@example(system_of((1, 0, 2), (0, 0, 2)))
+@example(system_of((0,)))
+def test_decomposition_matches_the_eliminations(sys_):
+    dec, ref = decomposition_check(sys_), ref_decomposition_check(sys_)
+    assert dec.dim_fix == ref.dim_fix
+    assert dec.dim_range_span == ref.dim_range_span
+    assert dec.direct_sum == ref.direct_sum
+    assert dec.fix_functions == ref.fix_functions
+    assert dec.fix_measures == ref.fix_measures
+    assert repr(dec) == repr(ref)
+    assert (separation_check(dec.fix_functions, dec.fix_measures)
+            == separation_check(ref.fix_functions, ref.fix_measures))
+
+
+@pytest.mark.parametrize("sys_", [random_system(5, 2, commuting=True, seed=4),
+                                  random_system(5, 3, seed=9)], ids=["commuting", "non-commuting"])
+def test_classify_builds_no_koopman_matrix(monkeypatch, sys_):
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for module, name in ((operators, "koopman_matrix"), (operators, "adjoint_matrix"),
+                         (envelope, "adjoint_matrix"), (operators, "fixed_space"),
+                         (rational, "nullspace")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    classify(sys_)
+    assert calls == []
+    monkeypatch.setattr(rational, "rref", counted("rref", rational.rref))
+    decomposition_check(sys_)
+    assert calls == []
+
+
 def test_classify_searches_the_state_graph_once(monkeypatch):
     descriptor = FiniteSystem.__dict__["reach"]
     assert isinstance(descriptor, cached_property)
@@ -179,12 +245,12 @@ def test_classify_searches_the_state_graph_once(monkeypatch):
 
 
 @pytest.mark.parametrize("args, status, rref_calls", [
-    # The decomposition check's three eliminations, the separation rank,
-    # the LP's redundant-row pass and the zero's rank.
-    ((5, 3, 9), "found", 6),
+    # The separation rank, the LP's redundant-row pass and the zero's
+    # rank; the decomposition check eliminates nothing.
+    ((5, 3, 9), "found", 3),
     # No invariant measure: the separation check needs no elimination,
     # and the minimal sets refute the zero before the LP.
-    ((4, 2, 1), "absent", 3),
+    ((4, 2, 1), "absent", 0),
 ])
 def test_classify_eliminates_each_fixed_space_once(monkeypatch, args, status, rref_calls):
     rref = rational.rref
