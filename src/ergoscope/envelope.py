@@ -209,7 +209,8 @@ def _zero_by_cesaro_product(sys: FiniteSystem) -> ZeroCertificate:
     return cert
 
 
-def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertificate | None:
+def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup,
+                         ker: frozenset[int] | None = None) -> ZeroCertificate | None:
     """Exact linear feasibility over the hull of the kernel K.
 
     A zero Q = sum lambda_i A_{s_i} of co(S) lies in co(K): for any k in
@@ -220,7 +221,7 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     A_k A_g = A_{k o g} are again kernel columns.  An exact phase-1
     simplex solves it, and a None here is a proof that no zero exists.
     """
-    ker = sorted(kernel(sg))
+    ker = sorted(kernel(sg) if ker is None else ker)
     # E_k[r][c] = 1 exactly when kernel element k maps c to r.
     own = sg.images[ker].tolist()
     rows = []
@@ -244,7 +245,7 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     return cert
 
 
-def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
+def _zero_refuted_by_minimal_sets(sys: FiniteSystem, measures: Sequence[Measure]) -> str | None:
     """Exact refutation: a zero's columns are invariant measures.
 
     Q delta_y for y in a minimal set M is invariant and supported in M,
@@ -254,7 +255,7 @@ def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
     the zero absent.
     """
     msets = minimal_sets(sys)
-    supports = {mu.support for mu in invariant_measures(sys)}
+    supports = {mu.support for mu in measures}
     for m in msets:
         if m not in supports:
             return f"minimal set {sorted(m)} carries no invariant measure"
@@ -272,6 +273,8 @@ def convex_koehler_zero(
     sys: FiniteSystem,
     budget: Budget | None = None,
     _ellis: TransSemigroup | SizeCapError | None = None,
+    _kernel: frozenset[int] | None = None,
+    _measures: tuple[Measure, ...] | None = None,
 ) -> ZeroSearchResult:
     """Search for the zero element of the convex Köhler semigroup.
 
@@ -282,14 +285,15 @@ def convex_koehler_zero(
     of co(S) lies in co(K) (see ``_zero_by_feasibility``).  When the
     closure exceeds ``budget.max_elements`` or the kernel exceeds
     ``budget.lp_max_elements``, the result is reported as undetermined,
-    never guessed.  ``_ellis`` is the closure, or the ``SizeCapError``
-    it already raised.
+    never guessed.  ``_ellis`` (the closure, or the ``SizeCapError`` it
+    raised), ``_kernel`` and ``_measures`` are what the caller computed.
     """
     budget = budget or Budget()
     if sys.commuting:
         cert = _zero_by_cesaro_product(sys)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    reason = _zero_refuted_by_minimal_sets(sys)
+    measures = invariant_measures(sys) if _measures is None else _measures
+    reason = _zero_refuted_by_minimal_sets(sys, measures)
     if reason is not None:
         return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
     sg = _ellis
@@ -300,14 +304,14 @@ def convex_koehler_zero(
             sg = exc
     if isinstance(sg, SizeCapError):
         return ZeroSearchResult("undetermined", None, "linear_feasibility", (str(sg),))
-    size = len(kernel(sg))
-    if size > budget.lp_max_elements:
+    ker = kernel(sg) if _kernel is None else _kernel
+    if (size := len(ker)) > budget.lp_max_elements:
         return ZeroSearchResult(
             "undetermined", None, "linear_feasibility",
             (f"{size} kernel elements exceed the exact-refutation budget "
              f"{budget.lp_max_elements}",),
         )
-    cert = _zero_by_feasibility(sys, sg)
+    cert = _zero_by_feasibility(sys, sg, ker)
     if cert is None:
         return ZeroSearchResult("absent", None, "linear_feasibility")
     return ZeroSearchResult("found", cert, "linear_feasibility")
@@ -357,11 +361,11 @@ class KernelImageCheck:
     violations: tuple[int, ...]
 
 
-def kernel_image_check(sys: FiniteSystem,
-                       _ellis: TransSemigroup | None = None) -> KernelImageCheck:
+def kernel_image_check(sys: FiniteSystem, _ellis: TransSemigroup | None = None,
+                       _kernel: frozenset[int] | None = None) -> KernelImageCheck:
     """Image of every kernel element lies in the union of minimal sets."""
     sg = _ellis if _ellis is not None else ellis(sys)
-    ker = kernel(sg)
+    ker = kernel(sg) if _kernel is None else _kernel
     union = frozenset(x for m in minimal_sets(sys) for x in m)
     violations = tuple(
         sorted(i for i in ker if not set(sg.images[i].tolist()) <= union)
@@ -436,12 +440,11 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
         if sys.commuting else "left amenability: unverified"
     )
 
-    sg = capped = None
-    ellis_size = kernel_size = None
+    sg = capped = ker = ellis_size = kernel_size = None
     try:
         sg = ellis(sys, budget.max_elements)
-        ellis_size = sg.size
-        kernel_size = kernel_image_check(sys, _ellis=sg).kernel_size
+        ellis_size, ker = sg.size, kernel(sg)
+        kernel_size = kernel_image_check(sys, _ellis=sg, _kernel=ker).kernel_size
     except SizeCapError as exc:
         capped = exc
         notes.append(f"size cap reached: {exc}")
@@ -454,7 +457,8 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     measures = invariant_measures(sys)
     notes.append(f"extreme invariant measures: {len(measures)}")
 
-    search = convex_koehler_zero(sys, budget, _ellis=capped or sg)
+    search = convex_koehler_zero(sys, budget, _ellis=capped or sg, _kernel=ker,
+                                 _measures=measures)
     if search.status == "found":
         weak_star = norm = Verdict.TRUE
         rank = search.certificate.rank()
@@ -473,7 +477,7 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     # Cross-checks.  For commuting generators the equivalences are
     # theorems and any disagreement is a hard error; otherwise genuine
     # disagreement is possible and is recorded instead.
-    dec = decomposition_check(sys)
+    dec = decomposition_check(sys, _measures=measures)
     sep = separation_check(dec.fix_functions, dec.fix_measures)
     if sys.commuting:
         assert search.status == "found", "commuting systems always admit a zero"

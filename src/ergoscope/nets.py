@@ -17,10 +17,16 @@ from .rational import ZERO, max_abs
 
 
 def matrix_powers(m: OperatorMatrix, count: int) -> list[OperatorMatrix]:
-    """[I, M, M^2, ..., M^(count-1)]."""
+    """[I, M, ..., M^(count-1)], each distinct power computed once: from the
+    first repeat M^j = M^i on, each power is the object j - i places back."""
     powers = [OperatorMatrix.identity(m.n)]
-    for _ in range(count - 1):
-        powers.append(powers[-1] @ m)
+    index = {powers[0]: 0}
+    period = 0
+    while len(powers) < count:
+        if not period:
+            nxt = powers[-1] @ m
+            period = len(powers) - index.setdefault(nxt, len(powers))
+        powers.append(powers[-period] if period else nxt)
     return powers
 
 
@@ -64,11 +70,9 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
         remainder = remainder / r
     terms = max(terms, 1)
     acc = OperatorMatrix.zeros(m.n)
-    power = OperatorMatrix.identity(m.n)
     coeff = (r - 1) / r
-    for _ in range(terms):
+    for power in matrix_powers(m, terms):
         acc = acc + power.scale(coeff)
-        power = power @ m
         coeff = coeff / r
     return AbelMean(acc, terms, bound / r**terms)
 
@@ -154,8 +158,7 @@ def abel_net(m: OperatorMatrix, rs, terms: int = 24, label: str = "abel") -> Net
             raise ValueError("Abel means need r > 1")
         raw = [r ** -(k + 1) for k in range(terms)]
         total = sum(raw)
-        weights = [w / total for w in raw]
-        combo = tuple((p, w) for p, w in zip(powers, weights))
+        combo = tuple((p, w / total) for p, w in zip(powers, raw))
         steps.append(NetStep(f"{label} r={r}", convex_combination(combo), combo))
     return NetSample(tuple(steps))
 

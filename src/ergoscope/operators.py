@@ -29,6 +29,13 @@ class OperatorMatrix:
         if any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.rows)
+
     @classmethod
     def from_rows(cls, rows) -> "OperatorMatrix":
         return cls(rational.as_fraction_rows(rows))
@@ -87,15 +94,20 @@ class OperatorMatrix:
 
 
 def convex_combination(weighted) -> OperatorMatrix:
-    """Exact sum of (matrix, weight) pairs; weights must sum to 1."""
+    """Exact sum of (matrix, weight) pairs; weights must sum to 1.  The weights
+    of equal matrices are added, then one sparse ``mat_mul`` of the weight row
+    and the flattened distinct matrices gives every entry."""
     weighted = [(m, Fraction(w)) for m, w in weighted]
     total = sum(w for _, w in weighted)
     if total != 1 or any(w < 0 for _, w in weighted):
         raise ValueError("weights must be nonnegative and sum to 1")
-    acc = weighted[0][0].scale(weighted[0][1])
-    for m, w in weighted[1:]:
-        acc = acc + m.scale(w)
-    return acc
+    merged: dict[OperatorMatrix, Fraction] = {}
+    for m, w in weighted:
+        merged[m] = merged.get(m, ZERO) + w
+    flat = [tuple(x for row in m.rows for x in row) for m in merged]
+    (sums,) = rational.mat_mul([tuple(merged.values())], flat)
+    n = weighted[0][0].n
+    return OperatorMatrix(tuple(sums[i:i + n] for i in range(0, n * n, n)))
 
 
 @dataclass(frozen=True)
@@ -232,7 +244,7 @@ def _indicators(n: int, blocks) -> tuple[Row, ...]:
                  for b in sorted(blocks, key=max))
 
 
-def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
+def decomposition_check(sys: FiniteSystem, _measures=None) -> DecompositionReport:
     """Does fix(S) + lin rg(Id - S) split the whole function space?
 
     Also returns exact bases of both fixed spaces, read off the state
@@ -248,7 +260,8 @@ def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
     n = sys.n
     phi = congruence_closure(sys, [(x, g(x)) for g in sys.generator_maps for x in range(n)])
     components = [frozenset(x for x in range(n) if phi[x] == c) for c in range(max(phi) + 1)]
-    supports = [mu.support for mu in invariant_measures(sys)]
+    measures = invariant_measures(sys) if _measures is None else _measures
+    supports = [mu.support for mu in measures]
     direct = all(sum(m <= c for m in supports) == 1 for c in components)
     return DecompositionReport(len(components), n - len(supports), direct,
                                _indicators(n, components), _indicators(n, supports))

@@ -27,10 +27,15 @@ def identity_rows(n: int) -> tuple[Row, ...]:
 
 
 def mat_mul(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    """Exact A B.  Each entry sums, from ZERO, only the products of two
+    nonzero entries, so it stays a Fraction and zeros cost nothing."""
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = [[ZERO] * (len(b[0]) if b else 0) for _ in a]
+    for acc, row in zip(out, a):
+        for x, b_row in zip(row, b_nonzero):
+            for j, y in b_row if x else ():
+                acc[j] += x * y
+    return tuple(map(tuple, out))
 
 
 def mat_vec(a: Sequence[Row], v: Sequence[Fraction]) -> Row:

@@ -1,0 +1,241 @@
+"""Differential tests: each exact product of the net path is done once.
+
+``matrix_powers`` stops multiplying at the first repeated power and reads
+the rest off by period, ``mat_mul`` sums only products of two nonzero
+entries, ``convex_combination`` adds the weights of equal matrices before
+one sparse sum, and ``OperatorMatrix`` caches its hash.  The references
+below are the definitions they replaced: the step-by-step powers, the
+dense product and the sequential scale-and-add.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from ergoscope import rational
+from ergoscope.envelope import power_periodicity
+from ergoscope.nets import abel, abel_net, folner_net, matrix_powers
+from ergoscope.operators import (
+    OperatorMatrix,
+    adjoint_matrix,
+    convex_combination,
+    koopman_matrix,
+)
+from ergoscope.rational import ZERO
+from ergoscope.transforms import Transformation
+
+F = Fraction
+
+
+# Reference definitions.
+
+def ref_powers(m, count):
+    powers = [OperatorMatrix.identity(m.n)]
+    for _ in range(count - 1):
+        powers.append(OperatorMatrix(ref_mat_mul(powers[-1].rows, m.rows)))
+    return powers
+
+
+def ref_mat_mul(a, b):
+    cols = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def ref_convex_combination(weighted):
+    weighted = [(m, Fraction(w)) for m, w in weighted]
+    total = sum(w for _, w in weighted)
+    if total != 1 or any(w < 0 for _, w in weighted):
+        raise ValueError("weights must be nonnegative and sum to 1")
+    acc = weighted[0][0].scale(weighted[0][1])
+    for m, w in weighted[1:]:
+        acc = acc + m.scale(w)
+    return acc
+
+
+# Strategies.
+
+def maps(n):
+    return st.tuples(*[st.integers(0, n - 1)] * n).map(Transformation)
+
+
+def permutations(n):
+    return st.permutations(range(n)).map(tuple).map(Transformation)
+
+
+def shaped_maps():
+    """Any map, or a permutation, on 1-7 states."""
+    return st.integers(1, 7).flatmap(lambda n: st.one_of(maps(n), permutations(n)))
+
+
+def fraction_matrices(rows, cols, signed=True):
+    """Sparse matrices: about half the entries are zero."""
+    low = -3 if signed else 0
+    entry = st.one_of(st.just(ZERO), st.fractions(low, 3, max_denominator=5))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols).map(tuple),
+                    min_size=rows, max_size=rows).map(tuple)
+
+
+def square(n):
+    return fraction_matrices(n, n).map(OperatorMatrix)
+
+
+# matrix_powers.
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_maps(), st.integers(0, 3), st.integers(-2, 2), st.integers(1, 40))
+@example(Transformation((1, 2, 3, 4, 2)), 0, 0, 1)
+@example(Transformation((1, 2, 3, 4, 2)), 0, 0, 5)
+@example(Transformation((1, 2, 3, 4, 2)), 0, 0, 6)
+def test_matrix_powers_match_step_by_step_products(t, scale, offset, count):
+    """count below, at and above preperiod + period, and far beyond it."""
+    p, q, _ = power_periodicity(t)
+    count = max(1, count if scale == 0 else scale * (p + q) + offset)
+    m = adjoint_matrix(t)
+    powers = matrix_powers(m, count)
+    assert powers == ref_powers(m, count)
+    # Past the first repeat the list reuses the objects of one period.
+    for k in range(p + q, count):
+        assert powers[k] is powers[k - q]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(F(1, 9), F(8, 9), max_denominator=9).filter(lambda x: x < 1),
+                min_size=1, max_size=3),
+       st.integers(1, 12))
+def test_matrix_powers_of_a_contraction_never_repeat(diagonal, count):
+    n = len(diagonal)
+    m = OperatorMatrix(tuple(
+        tuple(diagonal[i] if i == j else ZERO for j in range(n)) for i in range(n)
+    ))
+    products = []
+    mul = rational.mat_mul
+    with mock.patch.object(rational, "mat_mul",
+                           lambda a, b: products.append(1) or mul(a, b)):
+        powers = matrix_powers(m, count)
+    assert powers == ref_powers(m, count)
+    assert len(set(powers)) == count
+    assert len(products) == count - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(square), st.integers(1, 8))
+def test_matrix_powers_of_any_matrix_match(m, count):
+    assert matrix_powers(m, count) == ref_powers(m, count)
+
+
+def test_abel_mean_matches_the_power_loop():
+    for images in ((1, 2, 0), (1, 2, 3, 4, 2), (0, 0)):
+        m = koopman_matrix(Transformation(images))
+        mean = abel(m, 3, F(1, 1000))
+        coeff, acc = F(2, 3), OperatorMatrix.zeros(m.n)
+        for power in ref_powers(m, mean.terms):
+            acc = acc + power.scale(coeff)
+            coeff = coeff / 3
+        assert mean.matrix == acc
+
+
+@pytest.mark.parametrize("images, preperiod, period", [
+    ((1, 2, 3, 4, 2), 2, 3),      # 0 -> 1 -> 2 -> 3 -> 4 -> 2
+    ((1, 2, 3, 0, 5, 4), 0, 4),   # cycles of length 4 and 2
+    ((0, 0, 1, 2, 3, 4), 5, 1),   # a path into a fixed point
+])
+def test_folner_net_builds_each_power_once(images, preperiod, period):
+    t = Transformation(images)
+    assert power_periodicity(t)[:2] == (preperiod, period)
+    m = adjoint_matrix(t)
+    calls = []
+    mul = rational.mat_mul
+    with mock.patch.object(rational, "mat_mul",
+                           lambda a, b: calls.append(1) or mul(a, b)):
+        net = folner_net([m], [32])
+    assert len(calls) <= preperiod + period + 1
+    expected = ref_convex_combination((p, F(1, 32)) for p in ref_powers(m, 32))
+    assert net.steps[0].matrix == expected
+
+
+# mat_mul.
+
+@st.composite
+def product_shapes(draw):
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(fraction_matrices(r, k)), draw(fraction_matrices(k, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_shapes())
+def test_mat_mul_matches_the_dense_product(ab):
+    a, b = ab
+    product = rational.mat_mul(a, b)
+    assert product == ref_mat_mul(a, b)
+    assert all(type(x) is Fraction for row in product for x in row)
+
+
+def test_mat_mul_of_zero_matrices_gives_fractions():
+    zero = ((ZERO, ZERO), (ZERO, ZERO))
+    assert rational.mat_mul(zero, zero) == zero
+    ints = ((0, 1), (0, 0))
+    product = rational.mat_mul(ints, ints)
+    assert product == ((0, 0), (0, 0))
+    assert all(type(x) is Fraction for row in product for x in row)
+
+
+# convex_combination.
+
+@st.composite
+def weighted_matrices(draw):
+    """Weighted matrices with repeats, from a small pool of one size."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(fraction_matrices(n, n, signed=False).map(OperatorMatrix),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    raw = draw(st.lists(st.integers(0, 7), min_size=len(picks), max_size=len(picks)))
+    assume(sum(raw) > 0)
+    return [(m, F(r, sum(raw))) for m, r in zip(picks, raw)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_matrices())
+def test_convex_combination_matches_scale_and_add(weighted):
+    result = convex_combination(weighted)
+    assert result == ref_convex_combination(weighted)
+    assert all(type(x) is Fraction for row in result.rows for x in row)
+
+
+@pytest.mark.parametrize("weights", [
+    (F(1, 2), F(1, 3)),            # sums below one
+    (F(3, 2), F(-1, 2)),           # a negative weight
+    (F(1, 2), F(1, 2), F(1, 2)),   # sums above one
+    (),                            # nothing to combine
+])
+def test_convex_combination_rejects_bad_weights_as_before(weights):
+    m = adjoint_matrix(Transformation((1, 0)))
+    weighted = [(m, w) for w in weights]
+    with pytest.raises(ValueError) as new:
+        convex_combination(weighted)
+    with pytest.raises(ValueError) as ref:
+        ref_convex_combination(weighted)
+    assert str(new.value) == str(ref.value)
+
+
+def test_abel_net_steps_match_scale_and_add():
+    m = adjoint_matrix(Transformation((1, 2, 0)))
+    net = abel_net(m, [2, 4])
+    for step in net.steps:
+        assert step.matrix == ref_convex_combination(step.combination)
+
+
+# The cached hash.
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(square))
+def test_hash_matches_a_fresh_copy(m):
+    copy = OperatorMatrix(m.rows)
+    assert hash(m) == hash(copy) == hash(m)
+    assert m == copy and {m: 1}[copy] == 1
+    product = m @ OperatorMatrix.identity(m.n)
+    assert hash(product) == hash(m)

@@ -138,7 +138,8 @@ def test_reach_serves_the_per_call_searches(sys_):
     assert minimal_sets(sys_) == ref_minimal_sets(sys_)
     assert transitivity(sys_) == ref_transitivity(sys_)
     assert {mu.support for mu in invariant_measures(sys_)} == ref_supports(sys_)
-    assert _zero_refuted_by_minimal_sets(sys_) == ref_zero_refuted_by_minimal_sets(sys_)
+    assert (_zero_refuted_by_minimal_sets(sys_, invariant_measures(sys_))
+            == ref_zero_refuted_by_minimal_sets(sys_))
     for x in (-1, sys_.n):
         with pytest.raises(ValueError, match=f"state {x} out of range"):
             orbit(sys_, x)
@@ -264,3 +265,27 @@ def test_classify_eliminates_each_fixed_space_once(monkeypatch, args, status, rr
     report = classify(random_system(*args[:2], seed=args[2]))
     assert report.zero.status == status
     assert len(calls) == rref_calls
+
+
+@pytest.mark.parametrize("args, commuting, kernel_reads", [
+    ((5, 3, 9), False, 1),   # the LP decides the zero
+    ((4, 2, 1), False, 1),   # the minimal sets refute it before the LP
+    ((5, 2, 4), True, 1),    # the Cesàro product needs no kernel
+])
+def test_classify_reads_measures_and_kernel_once(monkeypatch, args, commuting, kernel_reads):
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*a, **kw):
+            calls.append(name)
+            return f(*a, **kw)
+        return wrapper
+
+    for module, name in ((envelope, "invariant_measures"), (operators, "invariant_measures"),
+                         (envelope, "kernel")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sys_ = random_system(*args[:2], commuting=commuting, seed=args[2])
+    assert sys_.commuting == commuting
+    classify(sys_)
+    assert calls.count("invariant_measures") == 1
+    assert calls.count("kernel") == kernel_reads
