@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rational
-from .nets import folner_net
+from .nets import first_repeat, folner_net
 from .operators import (
     Measure,
     OperatorMatrix,
@@ -37,7 +37,6 @@ from .operators import (
     decomposition_check,
     invariant_measures,
     pushforward,
-    separation_check,
 )
 from .systems import FiniteSystem, minimal_sets, transitivity
 from .transforms import (
@@ -105,16 +104,10 @@ def koehler(sys: FiniteSystem, max_elements: int | None = None) -> MatrixSemigro
 
 
 def power_periodicity(t: Transformation) -> tuple[int, int, list[Transformation]]:
-    """(preperiod, period, [t^0, t^1, ...]) of the power sequence."""
-    powers = [Transformation.identity(t.degree)]
-    seen = {powers[0]: 0}
-    while True:
-        nxt = t.compose(powers[-1])
-        if nxt in seen:
-            start = seen[nxt]
-            return start, len(powers) - start, powers
-        seen[nxt] = len(powers)
-        powers.append(nxt)
+    """(preperiod, period, [t^0, t^1, ...] up to the first repeat)."""
+    images, period = first_repeat(tuple(range(t.degree)),
+                                  lambda p: tuple(t.images[y] for y in p))
+    return len(images) - period, period, [Transformation(p) for p in images]
 
 
 def cesaro_limit_of_map(t: Transformation) -> dict[Transformation, Fraction]:
@@ -461,7 +454,9 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
                                  _measures=measures)
     if search.status == "found":
         weak_star = norm = Verdict.TRUE
+        # A zero of co(S) projects onto fix(S'), spanned by the extreme measures.
         rank = search.certificate.rank()
+        assert rank == len(measures), "zero rank and invariant measure count disagree"
         unique = Verdict.of(rank == 1)
         if sg is not None and sg.size <= VERIFY_ALL_MAX:
             verify_zero_on_all_elements(search.certificate, sg)
@@ -474,18 +469,15 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
         rank = None
     notes.extend(search.notes)
 
-    # Cross-checks.  For commuting generators the equivalences are
-    # theorems and any disagreement is a hard error; otherwise genuine
-    # disagreement is possible and is recorded instead.
+    # Cross-checks, from the supports counted in each generator-graph
+    # component.  For commuting generators the equivalences are theorems
+    # and any disagreement is a hard error; otherwise it is recorded.
     dec = decomposition_check(sys, _measures=measures)
-    sep = separation_check(dec.fix_functions, dec.fix_measures)
+    sep = dec.separating
     if sys.commuting:
         assert search.status == "found", "commuting systems always admit a zero"
         assert sep and dec.direct_sum, (
             "fixed-space criteria must agree with the zero for commuting generators"
-        )
-        assert (rank == 1) == (len(measures) == 1), (
-            "rank-one zero and unique invariant measure must agree"
         )
     else:
         if sep != dec.direct_sum:
@@ -493,8 +485,6 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
                 f"fixed-space criteria disagree (separation {sep}, "
                 f"decomposition {dec.direct_sum}); acting semigroup not amenable"
             )
-        if search.status == "found" and (rank == 1) != (len(measures) == 1):
-            notes.append("rank-one zero and measure count disagree; not amenable")
         if search.status == "absent" and len(measures) == 1:
             notes.append(
                 "one invariant measure but no zero; rank-one-zero criterion "

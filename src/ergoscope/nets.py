@@ -16,17 +16,26 @@ from .operators import OperatorMatrix, convex_combination
 from .rational import ZERO, max_abs
 
 
+def first_repeat(start, step, count: int | None = None) -> tuple[list, int]:
+    """([x_0 = start, x_1 = step(x_0), ...] up to the first repeat x_j = x_i
+    or ``count`` items, j - i); the period is 0 if ``count`` came first."""
+    items = [start]
+    index = {start: 0}
+    while count is None or len(items) < count:
+        nxt = step(items[-1])
+        if nxt in index:
+            return items, len(items) - index[nxt]
+        index[nxt] = len(items)
+        items.append(nxt)
+    return items, 0
+
+
 def matrix_powers(m: OperatorMatrix, count: int) -> list[OperatorMatrix]:
     """[I, M, ..., M^(count-1)], each distinct power computed once: from the
     first repeat M^j = M^i on, each power is the object j - i places back."""
-    powers = [OperatorMatrix.identity(m.n)]
-    index = {powers[0]: 0}
-    period = 0
+    powers, period = first_repeat(OperatorMatrix.identity(m.n), lambda p: p @ m, count)
     while len(powers) < count:
-        if not period:
-            nxt = powers[-1] @ m
-            period = len(powers) - index.setdefault(nxt, len(powers))
-        powers.append(powers[-period] if period else nxt)
+        powers.append(powers[-period])
     return powers
 
 
@@ -212,21 +221,17 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError("side must be left, right or two_sided")
+    if window < 1:
+        raise ValueError("window must be at least 1")
     tol = Fraction(tol)
-    generators = list(generators)
-    named = [(f"g{i}", g) for i, g in enumerate(generators)]
+    named = [(f"g{i}", OperatorMatrix.identity(g.n) - g) for i, g in enumerate(generators)]
     sides = ("left", "right") if side == "two_sided" else (side,)
     trace = []
     for step in net.steps:
-        for gname, g in named:
-            eye = OperatorMatrix.identity(g.n)
+        for gname, d in named:
             for s in sides:
-                if s == "left":
-                    defect = ((eye - g) @ step.matrix)
-                else:
-                    defect = (step.matrix @ (eye - g))
-                worst = max_abs(defect.rows)
-                trace.append(DefectRecord(step.descriptor, gname, s, worst))
+                defect = d @ step.matrix if s == "left" else step.matrix @ d
+                trace.append(DefectRecord(step.descriptor, gname, s, max_abs(defect.rows)))
     verdict = NetVerdict("undetermined", side, tuple(trace))
     worst_by_step = verdict.worst_by_step()
     if len(worst_by_step) < window:

@@ -214,7 +214,8 @@ def separation_check(fix_functions, fix_measures) -> bool:
 
     True iff no nonzero vector in the span of ``fix_measures`` pairs to
     zero with every vector of ``fix_functions``; decided by an exact rank
-    computation of the pairing matrix.
+    computation of the pairing matrix, for any two bases.  On its indicator
+    bases ``decomposition_check`` decides the same by a count instead.
     """
     fix_functions = list(fix_functions)
     fix_measures = list(fix_measures)
@@ -234,6 +235,7 @@ class DecompositionReport:
     dim_fix: int
     dim_range_span: int
     direct_sum: bool
+    separating: bool
     fix_functions: tuple[Row, ...]
     fix_measures: tuple[Row, ...]
 
@@ -245,23 +247,25 @@ def _indicators(n: int, blocks) -> tuple[Row, ...]:
 
 
 def decomposition_check(sys: FiniteSystem, _measures=None) -> DecompositionReport:
-    """Does fix(S) + lin rg(Id - S) split the whole function space?
+    """Does fix(S) + lin rg(Id - S) split the function space, and does
+    fix(S) separate fix(S')?  Both come from one count on the state graph.
 
-    Also returns exact bases of both fixed spaces, read off the state
-    graph.  f o g = f for all g iff f is constant on each component C of
-    the undirected graph x -- g(x).  A_g mu = mu gives A_g|mu| >= |mu|
-    with equal mass, so |mu| is fixed: the fixed measures form a lattice,
-    spanned by 1_M for the supports M of the invariant measures.  Disjoint
-    indicators ordered by max are the canonical basis of ``fixed_space``,
-    whose free column in each block is its largest state.  lin rg(Id - S)
-    is the annihilator of the fixed measures, of dimension n - #M, and it
-    complements fix(S) exactly when every component holds exactly one M.
+    f o g = f for all g iff f is constant on each component C of the
+    undirected graph x -- g(x).  A_g mu = mu gives A_g|mu| >= |mu| with
+    equal mass, so the fixed measures form a lattice spanned by 1_M for
+    the supports M of the invariant measures.  Ordered by max, each block's
+    free column, both indicator bases are the canonical ``fixed_space`` ones.
+    Each M lies in one C, so the pairing matrix of ``separation_check`` has
+    one nonzero per column: separation holds iff every C holds at most one
+    M.  lin rg(Id - S) is the annihilator of the 1_M, of dimension n - #M,
+    and it complements fix(S) iff every C holds exactly one M.
     """
     n = sys.n
     phi = congruence_closure(sys, [(x, g(x)) for g in sys.generator_maps for x in range(n)])
     components = [frozenset(x for x in range(n) if phi[x] == c) for c in range(max(phi) + 1)]
     measures = invariant_measures(sys) if _measures is None else _measures
     supports = [mu.support for mu in measures]
-    direct = all(sum(m <= c for m in supports) == 1 for c in components)
-    return DecompositionReport(len(components), n - len(supports), direct,
+    counts = [sum(m <= c for m in supports) for c in components]
+    return DecompositionReport(len(components), n - len(supports),
+                               all(k == 1 for k in counts), all(k <= 1 for k in counts),
                                _indicators(n, components), _indicators(n, supports))

@@ -113,21 +113,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> tuple[Row, ...
     return tuple(basis)
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return ()
-    n_cols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    x = [ZERO] * n_cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][n_cols]
-    return tuple(x)
-
-
 def lp_feasible_point(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> Row | None:

@@ -291,6 +291,8 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
     depth = f.depth
     if not n_list:
         return []
+    if min(n_list) < 1:
+        raise ValueError("need N >= 1")
     if max(n_list) + depth - 1 > word.length:
         raise ValueError("word too short for the requested trace")
     crossing = {p: f(word.factor(p, depth))

@@ -5,7 +5,9 @@ the rest off by period, ``mat_mul`` sums only products of two nonzero
 entries, ``convex_combination`` adds the weights of equal matrices before
 one sparse sum, and ``OperatorMatrix`` caches its hash.  The references
 below are the definitions they replaced: the step-by-step powers, the
-dense product and the sequential scale-and-add.
+dense product and the sequential scale-and-add.  ``power_periodicity``
+shares the first-repeat loop of ``matrix_powers``; its reference composes
+``Transformation`` objects one at a time.
 """
 
 from fractions import Fraction
@@ -37,6 +39,15 @@ def ref_powers(m, count):
     for _ in range(count - 1):
         powers.append(OperatorMatrix(ref_mat_mul(powers[-1].rows, m.rows)))
     return powers
+
+
+def ref_power_periodicity(t):
+    """Compose powers one at a time until one repeats."""
+    powers = [Transformation.identity(t.degree)]
+    while (nxt := t.compose(powers[-1])) not in powers:
+        powers.append(nxt)
+    start = powers.index(nxt)
+    return start, len(powers) - start, powers
 
 
 def ref_mat_mul(a, b):
@@ -101,6 +112,19 @@ def test_matrix_powers_match_step_by_step_products(t, scale, offset, count):
     # Past the first repeat the list reuses the objects of one period.
     for k in range(p + q, count):
         assert powers[k] is powers[k - q]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_maps(), st.integers(1, 40))
+@example(Transformation((1, 2, 3, 4, 2)), 4)
+@example(Transformation((1, 2, 3, 4, 2)), 5)
+def test_one_period_routine_matches_the_step_by_step_loop(t, count):
+    """power_periodicity and matrix_powers share one first-repeat loop."""
+    p, q, powers = power_periodicity(t)
+    assert (p, q, powers) == ref_power_periodicity(t)
+    m = adjoint_matrix(t)
+    periodic = [adjoint_matrix(powers[k if k < p else p + (k - p) % q]) for k in range(count)]
+    assert matrix_powers(m, count) == periodic == ref_powers(m, count)
 
 
 @settings(max_examples=40, deadline=None)

@@ -138,6 +138,13 @@ def test_verify_net_cesaro_two_sided():
     assert worst == sorted(worst, reverse=True)
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_verify_net_rejects_window_below_one(window):
+    net = abel_net(SHIFT3, [2, 3])
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        verify_net(net, [SHIFT3], "two_sided", 0, window=window)
+
+
 def test_verify_net_constant_zero_exact():
     q = OperatorMatrix.from_rows([[F(1, 3)] * 3] * 3)
     net = constant_net(q, [(q, F(1))], 3)

@@ -19,6 +19,7 @@ from ergoscope.operators import (
 )
 from ergoscope.systems import FiniteSystem, cyclic_shift_system, minimal_sets, random_system
 from ergoscope.transforms import Transformation
+from oracles import solve
 
 F = Fraction
 SHIFT3 = Transformation((1, 2, 0))
@@ -110,7 +111,7 @@ def invariant_measures_oracle(sys_):
             rows = [[row[j] for j in support] for row in stacked]
             rows.append([F(1)] * size)
             rhs = [F(0)] * len(stacked) + [F(1)]
-            sol = rational.solve(rows, rhs)
+            sol = solve(rows, rhs)
             if sol is None or any(x <= 0 for x in sol):
                 continue
             full = [F(0)] * n

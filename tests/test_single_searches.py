@@ -7,15 +7,17 @@ the state graph again from each state on every call.
 ``decomposition_check`` reads the fixed functions off the components of
 the generator graph and the fixed measures off the supports of the
 invariant measures, with no Koopman matrix and no elimination; its
-reference is the earlier three-elimination definition.  ``classify``
-hands both bases to the separation check, whose gram rank is then the
-only elimination left in the cross-check.
+reference is the earlier three-elimination definition.  It decides
+separation by counting the supports in each component; the reference
+takes the gram rank of ``separation_check``.  ``classify`` reads both
+cross-checks off that count and asserts that a zero's rank counts the
+extreme invariant measures, so it eliminates only for the zero.
 """
 
 from functools import cached_property
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergoscope import envelope, operators, rational, systems
@@ -171,7 +173,8 @@ def ref_decomposition_check(sys_):
     dim_range = n - len(fix_measures)
     combined = rational.rank(list(fix_basis) + range_vectors)
     direct = combined == dim_fix + dim_range and dim_fix + dim_range == n
-    return DecompositionReport(dim_fix, dim_range, direct, fix_basis, fix_measures)
+    separating = separation_check(fix_basis, fix_measures)
+    return DecompositionReport(dim_fix, dim_range, direct, separating, fix_basis, fix_measures)
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,16 +189,32 @@ def ref_decomposition_check(sys_):
 @example(system_of((0, 1, 0), (0, 1, 1)))
 @example(system_of((1, 0, 2), (0, 0, 2)))
 @example(system_of((0,)))
+# One component holding the three fixed points 0, 1 and 2.
+@example(system_of((0, 1, 2, 0), (0, 1, 2, 1), (0, 1, 2, 2)))
 def test_decomposition_matches_the_eliminations(sys_):
     dec, ref = decomposition_check(sys_), ref_decomposition_check(sys_)
     assert dec.dim_fix == ref.dim_fix
     assert dec.dim_range_span == ref.dim_range_span
     assert dec.direct_sum == ref.direct_sum
+    assert dec.separating == ref.separating
     assert dec.fix_functions == ref.fix_functions
     assert dec.fix_measures == ref.fix_measures
     assert repr(dec) == repr(ref)
     assert (separation_check(dec.fix_functions, dec.fix_measures)
             == separation_check(ref.fix_functions, ref.fix_measures))
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_systems())
+# No invariant measure: separation holds and the sum does not split.
+@example(random_system(4, 2, seed=1))
+# Two fixed points in one component: neither holds.
+@example(system_of((0, 1, 0), (0, 1, 1)))
+def test_classify_notes_the_gram_rank_separation(sys_):
+    ref = ref_decomposition_check(sys_)
+    cross_check = (f"fixed-space cross-checks: separation {ref.separating}, decomposition "
+                   f"{ref.dim_fix}+{ref.dim_range_span}{'=' if ref.direct_sum else '!='}{sys_.n}")
+    assert cross_check in classify(sys_).notes
 
 
 @pytest.mark.parametrize("sys_", [random_system(5, 2, commuting=True, seed=4),
@@ -246,11 +265,10 @@ def test_classify_searches_the_state_graph_once(monkeypatch):
 
 
 @pytest.mark.parametrize("args, status, rref_calls", [
-    # The separation rank, the LP's redundant-row pass and the zero's
-    # rank; the decomposition check eliminates nothing.
-    ((5, 3, 9), "found", 3),
-    # No invariant measure: the separation check needs no elimination,
-    # and the minimal sets refute the zero before the LP.
+    # The LP's redundant-row pass and the zero's rank; both cross-checks
+    # are counts, with no elimination.
+    ((5, 3, 9), "found", 2),
+    # The minimal sets refute the zero before the LP.
     ((4, 2, 1), "absent", 0),
 ])
 def test_classify_eliminates_each_fixed_space_once(monkeypatch, args, status, rref_calls):
@@ -289,3 +307,36 @@ def test_classify_reads_measures_and_kernel_once(monkeypatch, args, commuting, k
     classify(sys_)
     assert calls.count("invariant_measures") == 1
     assert calls.count("kernel") == kernel_reads
+
+
+@st.composite
+def permuted_blocks(draw):
+    """g 2-3 maps that each permute the same 1-3 blocks of 1-3 states and
+    send 0-2 further states anywhere: many of these have a zero."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    transient = draw(st.integers(0, 2))
+    n = sum(sizes) + transient
+    maps = []
+    for _ in range(draw(st.integers(2, 3))):
+        images, start = [], 0
+        for k in sizes:
+            images.extend(draw(st.permutations(range(start, start + k))))
+            start += k
+        images.extend(draw(st.lists(st.integers(0, n - 1), min_size=transient,
+                                    max_size=transient)))
+        maps.append(tuple(images))
+    return system_of(*maps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_blocks())
+# S3 on two blocks: the zero averages over each block, rank 2.
+@example(system_of((1, 2, 0, 4, 5, 3), (1, 0, 2, 4, 3, 5)))
+def test_zero_rank_counts_the_extreme_measures(sys_):
+    """A zero Q projects onto fix(S'), so rank Q = #extreme invariant measures."""
+    assume(not sys_.commuting)
+    report = classify(sys_)
+    assume(report.zero.status == "found")
+    measures = invariant_measures(sys_)
+    assert report.zero_rank == rational.rank(report.zero.certificate.matrix.rows)
+    assert report.zero_rank == len(measures)

@@ -174,6 +174,13 @@ def test_cesaro_trace_all_ones():
     assert cesaro_trace(word, FIRST_COORDINATE, [5, 10, 20]) == [1, 1, 1]
 
 
+@pytest.mark.parametrize("ns", [[0], [-3], [5, 0]])
+def test_cesaro_trace_rejects_n_below_one(ns):
+    word = BinaryWord.from_string("01" * 8)
+    with pytest.raises(ValueError, match="need N >= 1"):
+        cesaro_trace(word, FIRST_COORDINATE, ns)
+
+
 def test_cesaro_trace_alternating_even():
     word = BinaryWord.from_string("01" * 16)
     values = cesaro_trace(word, FIRST_COORDINATE, [2, 8, 32])
