@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -82,20 +83,37 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+class InputError(Exception):
+    pass
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InputError(message)
+
+
+def _object(spec, what: str) -> dict:
+    _require(isinstance(spec, dict), f"{what} must be a JSON object")
+    return spec
+
+
+def _integer(spec: dict, key: str, default: int | None = None) -> int | None:
+    """spec[key] if it is an integer, ``default`` if it is missing or null."""
+    value = spec.get(key)
+    _require(value is None or type(value) is int, f"{key} must be an integer, not {value!r}")
+    return default if value is None else value
+
+
 def _load_descriptor(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return _object(json.load(handle), path)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         )
-
-
-class InputError(Exception):
-    pass
 
 
 def _system_from_descriptor(doc: dict) -> FiniteSystem:
@@ -105,36 +123,39 @@ def _system_from_descriptor(doc: dict) -> FiniteSystem:
         maps = {g["name"]: g["map"] for g in generators}
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad system descriptor: {exc}")
-    if len(set(states)) != len(states):
-        raise InputError("state labels must be distinct")
+    _require(isinstance(states, list) and all(isinstance(x, str) for x in states),
+             "states must be a list of string labels")
+    labels = set(states)
+    _require(len(labels) == len(states), "state labels must be distinct")
+    _require(len(maps) > 0, "need at least one generator")
+    _require(len(maps) == len(generators), "generator names must be distinct")
+    _require(isinstance(doc.get("name", ""), str), "name must be a string")
     for name, mapping in maps.items():
-        if set(mapping) != set(states):
-            raise InputError(f"generator {name!r} must map every state")
-        if not set(mapping.values()) <= set(states):
-            raise InputError(f"generator {name!r} maps outside the state set")
+        _require(isinstance(mapping, dict) and set(mapping) == labels,
+                 f"generator {name!r} must map every state")
+        _require(all(isinstance(y, str) and y in labels for y in mapping.values()),
+                 f"generator {name!r} maps outside the state set")
     return FiniteSystem.from_maps(maps, name=doc.get("name", ""))
 
 
 def _subshift_word(spec: dict) -> tuple[BinaryWord, int]:
+    spec = _object(spec, "subshift descriptor")
     generator = spec.get("generator", "rolandex")
-    horizon = spec.get("horizon")
-    window = spec.get("window")
-    if window is None:
-        raise InputError("subshift descriptor needs a window")
+    horizon = _integer(spec, "horizon")
+    window = _integer(spec, "window")
+    _require(window is not None, "subshift descriptor needs a window")
     if generator == "rolandex":
         horizon = horizon if horizon is not None else block_boundary(8)
         word = rolandex_prefix(horizon)
     elif generator == "explicit":
         bits = spec.get("bits")
-        if not bits:
-            raise InputError("explicit subshift needs a bits string")
+        _require(isinstance(bits, str) and bits != "", "explicit subshift needs a bits string")
         word = BinaryWord.from_string(bits)
         if horizon is not None:
             word = word.prefix(min(horizon, word.length))
     else:
         raise InputError(f"unknown subshift generator {generator!r}")
-    if window > word.length:
-        raise InputError("window exceeds horizon")
+    _require(window <= word.length, "window exceeds horizon")
     return word, window
 
 
@@ -162,8 +183,9 @@ def cmd_classify(args) -> int:
         _emit(_json_text(payload), args.json_out)
         return EXIT_OK if report.weak_star_mean_ergodic != "undetermined" else EXIT_UNDETERMINED
     if "grid" in doc:
-        spec = doc["grid"]
-        model = build_grid(spec.get("multiples_of_pi", 2), spec.get("subdivisions", 100))
+        spec = _object(doc["grid"], "grid descriptor")
+        model = build_grid(_integer(spec, "multiples_of_pi", 2),
+                           _integer(spec, "subdivisions", 100))
         report = weak_star_limit_check(model, uniform_weights(model), args.tol)
         payload = {
             "type": "grid",
@@ -177,11 +199,8 @@ def cmd_classify(args) -> int:
     sys_ = _system_from_descriptor(doc)
     report = classify(sys_, Budget(max_elements=args.budget))
     _emit(_json_text(report_to_json_dict(report)), args.json_out)
-    verdicts = (report.unique_ergodic, report.norm_mean_ergodic,
-                report.weak_star_mean_ergodic)
-    if any(v is Verdict.UNDETERMINED for v in verdicts):
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+    verdicts = (report.unique_ergodic, report.norm_mean_ergodic, report.weak_star_mean_ergodic)
+    return EXIT_UNDETERMINED if Verdict.UNDETERMINED in verdicts else EXIT_OK
 
 
 def _element_as_label_map(sys_: FiniteSystem, t) -> dict:
@@ -239,8 +258,7 @@ def cmd_trace(args) -> int:
         text = _csv_text(("N", "value", "value_float"), trace_csv_rows(ns, values))
         _emit(text, args.csv_out)
         return EXIT_OK
-    if args.N < 1:
-        raise InputError("need N >= 1")
+    _require(args.N >= 1, "need N >= 1")
     sys_ = _system_from_descriptor(doc)
     adjoints = [adjoint_matrix(g) for g in sys_.generator_maps]
     ns = [2**k for k in range(1, args.N.bit_length() + 1) if 2**k <= args.N] or [1]
@@ -265,11 +283,9 @@ def cmd_trace(args) -> int:
 def cmd_reproduce(args) -> int:
     out_dir = args.out_dir or "."
     if args.name == "rolandex":
-        horizon = block_boundary(8) if args.horizon is None else args.horizon
-        window = 7 if args.window is None else args.window
-        word = rolandex_prefix(horizon)
-        if window > word.length:
-            raise InputError("window exceeds horizon")
+        word, window = _subshift_word({"horizon": args.horizon,
+                                       "window": 7 if args.window is None else args.window})
+        horizon = word.length
         report = classify_subshift(word, window)
         ns = [horizon // 4, horizon // 2, horizon]
         ns = sorted({n for n in ns if n >= 1})
@@ -366,6 +382,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("r", "tol"):
+            _require(math.isfinite(getattr(args, option, 0.0)), f"--{option} must be finite")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from .operators import (
     invariant_measures,
     pushforward,
 )
-from .systems import FiniteSystem, minimal_sets, transitivity
+from .systems import FiniteSystem, invariant_supports, minimal_sets, transitivity
 from .transforms import (
     SizeCapError,
     Transformation,
@@ -110,27 +110,6 @@ def power_periodicity(t: Transformation) -> tuple[int, int, list[Transformation]
     return len(images) - period, period, [Transformation(p) for p in images]
 
 
-def cesaro_limit_of_map(t: Transformation) -> dict[Transformation, Fraction]:
-    """Exact Cesàro limit of the pushforward powers, as convex weights.
-
-    The power sequence is eventually periodic, so the limit of the
-    averages is the plain average over one full period past the
-    preperiod.  Returned as weights on transformations.
-    """
-    preperiod, period, powers = power_periodicity(t)
-    return {s: Fraction(1, period) for s in powers[preperiod:]}
-
-
-def _convolve(a: dict[Transformation, Fraction],
-              b: dict[Transformation, Fraction]) -> dict[Transformation, Fraction]:
-    out: dict[Transformation, Fraction] = {}
-    for s, ws in a.items():
-        for t, wt in b.items():
-            key = s.compose(t)
-            out[key] = out.get(key, Fraction(0)) + ws * wt
-    return out
-
-
 @dataclass(frozen=True)
 class ZeroCertificate:
     """A verified zero of the convex Köhler semigroup.
@@ -172,14 +151,14 @@ def _absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:
     return all(tuple(s) == row for s, row in zip(sums, rows))
 
 
-def _certify(weights: dict[Transformation, Fraction],
+def _certify(weights: dict[tuple[int, ...], Fraction],
              sys: FiniteSystem) -> ZeroCertificate | None:
-    """Q = the convex combination of the weighted pushforwards, certified
-    by exact zero identities against every generator, or None."""
+    """Q = the convex combination of the weighted image tuples' pushforwards,
+    certified by exact zero identities against every generator, or None."""
     total = sum(weights.values())
     if total != 1 or any(w < 0 for w in weights.values()):
         return None
-    witness = tuple(sorted(weights.items(), key=lambda kv: kv[0].images))
+    witness = tuple((Transformation(images), w) for images, w in sorted(weights.items()))
     q = pushforward(witness)
     checks = []
     for name, g in sys.generators:
@@ -191,19 +170,24 @@ def _certify(weights: dict[Transformation, Fraction],
 
 
 def _zero_by_cesaro_product(sys: FiniteSystem) -> ZeroCertificate:
-    """Complete for commuting generators: product of per-map limits."""
-    weights: dict[Transformation, Fraction] | None = None
+    """Complete for commuting generators: product of per-map limits, each the
+    average of one period of the map's powers, as weights on image tuples."""
+    weights = {tuple(range(sys.n)): Fraction(1)}
     for g in sys.generator_maps:
-        w = cesaro_limit_of_map(g)
-        weights = w if weights is None else _convolve(weights, w)
+        preperiod, period, powers = power_periodicity(g)
+        product = {}
+        for s, w in weights.items():
+            for p in powers[preperiod:]:
+                key = tuple(s[y] for y in p.images)
+                product[key] = product.get(key, 0) + w / period
+        weights = product
     cert = _certify(weights, sys)
     if cert is None:
         raise AssertionError("Cesàro product failed on commuting generators")
     return cert
 
 
-def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup,
-                         ker: frozenset[int] | None = None) -> ZeroCertificate | None:
+def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertificate | None:
     """Exact linear feasibility over the hull of the kernel K.
 
     A zero Q = sum lambda_i A_{s_i} of co(S) lies in co(K): for any k in
@@ -214,7 +198,7 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup,
     A_k A_g = A_{k o g} are again kernel columns.  An exact phase-1
     simplex solves it, and a None here is a proof that no zero exists.
     """
-    ker = sorted(kernel(sg) if ker is None else ker)
+    ker = sorted(kernel(sg))
     # E_k[r][c] = 1 exactly when kernel element k maps c to r.
     own = sg.images[ker].tolist()
     rows = []
@@ -231,14 +215,14 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup,
     solution = rational.lp_feasible_point(rows, rhs)
     if solution is None:
         return None
-    weights = {Transformation(tuple(e)): w for e, w in zip(own, solution) if w > 0}
+    weights = {tuple(e): w for e, w in zip(own, solution) if w > 0}
     cert = _certify(weights, sys)
     if cert is None:
         raise AssertionError("feasible point failed exact verification")
     return cert
 
 
-def _zero_refuted_by_minimal_sets(sys: FiniteSystem, measures: Sequence[Measure]) -> str | None:
+def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
     """Exact refutation: a zero's columns are invariant measures.
 
     Q delta_y for y in a minimal set M is invariant and supported in M,
@@ -247,18 +231,15 @@ def _zero_refuted_by_minimal_sets(sys: FiniteSystem, measures: Sequence[Measure]
     contain two measure-carrying minimal sets.  Either failure proves
     the zero absent.
     """
-    msets = minimal_sets(sys)
-    supports = {mu.support for mu in measures}
-    for m in msets:
+    supports = invariant_supports(sys)
+    for m in minimal_sets(sys):
         if m not in supports:
             return f"minimal set {sorted(m)} carries no invariant measure"
-    if len(supports) >= 2:
-        for x, reach in enumerate(sys.reach):
-            states = reach | {x}
-            inside = [s for s in supports if s <= states]
-            if len(inside) >= 2:
-                return (f"orbit closure of state {x} contains "
-                        f"{len(inside)} minimal sets with invariant measures")
+    for x, reach in enumerate(sys.reach):
+        inside = sum(s <= reach | {x} for s in supports)
+        if inside >= 2:
+            return (f"orbit closure of state {x} contains "
+                    f"{inside} minimal sets with invariant measures")
     return None
 
 
@@ -266,8 +247,6 @@ def convex_koehler_zero(
     sys: FiniteSystem,
     budget: Budget | None = None,
     _ellis: TransSemigroup | SizeCapError | None = None,
-    _kernel: frozenset[int] | None = None,
-    _measures: tuple[Measure, ...] | None = None,
 ) -> ZeroSearchResult:
     """Search for the zero element of the convex Köhler semigroup.
 
@@ -278,15 +257,15 @@ def convex_koehler_zero(
     of co(S) lies in co(K) (see ``_zero_by_feasibility``).  When the
     closure exceeds ``budget.max_elements`` or the kernel exceeds
     ``budget.lp_max_elements``, the result is reported as undetermined,
-    never guessed.  ``_ellis`` (the closure, or the ``SizeCapError`` it
-    raised), ``_kernel`` and ``_measures`` are what the caller computed.
+    never guessed.  ``_ellis`` is the closure ``classify`` already built,
+    or the ``SizeCapError`` it raised: the closure is the one costly input,
+    so a capped closure is never built twice.
     """
     budget = budget or Budget()
     if sys.commuting:
         cert = _zero_by_cesaro_product(sys)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    measures = invariant_measures(sys) if _measures is None else _measures
-    reason = _zero_refuted_by_minimal_sets(sys, measures)
+    reason = _zero_refuted_by_minimal_sets(sys)
     if reason is not None:
         return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
     sg = _ellis
@@ -297,17 +276,14 @@ def convex_koehler_zero(
             sg = exc
     if isinstance(sg, SizeCapError):
         return ZeroSearchResult("undetermined", None, "linear_feasibility", (str(sg),))
-    ker = kernel(sg) if _kernel is None else _kernel
-    if (size := len(ker)) > budget.lp_max_elements:
+    if (size := len(kernel(sg))) > budget.lp_max_elements:
         return ZeroSearchResult(
             "undetermined", None, "linear_feasibility",
             (f"{size} kernel elements exceed the exact-refutation budget "
              f"{budget.lp_max_elements}",),
         )
-    cert = _zero_by_feasibility(sys, sg, ker)
-    if cert is None:
-        return ZeroSearchResult("absent", None, "linear_feasibility")
-    return ZeroSearchResult("found", cert, "linear_feasibility")
+    cert = _zero_by_feasibility(sys, sg)
+    return ZeroSearchResult("absent" if cert is None else "found", cert, "linear_feasibility")
 
 
 def verify_zero_on_all_elements(cert: ZeroCertificate, sg: TransSemigroup) -> int:
@@ -354,15 +330,12 @@ class KernelImageCheck:
     violations: tuple[int, ...]
 
 
-def kernel_image_check(sys: FiniteSystem, _ellis: TransSemigroup | None = None,
-                       _kernel: frozenset[int] | None = None) -> KernelImageCheck:
+def kernel_image_check(sys: FiniteSystem, _ellis: TransSemigroup | None = None) -> KernelImageCheck:
     """Image of every kernel element lies in the union of minimal sets."""
     sg = _ellis if _ellis is not None else ellis(sys)
-    ker = kernel(sg) if _kernel is None else _kernel
+    ker = kernel(sg)
     union = frozenset(x for m in minimal_sets(sys) for x in m)
-    violations = tuple(
-        sorted(i for i in ker if not set(sg.images[i].tolist()) <= union)
-    )
+    violations = tuple(sorted(i for i in ker if not set(sg.images[i].tolist()) <= union))
     if violations:
         raise AssertionError(
             f"kernel elements {violations} map outside the union of minimal sets"
@@ -433,11 +406,10 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
         if sys.commuting else "left amenability: unverified"
     )
 
-    sg = capped = ker = ellis_size = kernel_size = None
+    sg = capped = ellis_size = kernel_size = None
     try:
         sg = ellis(sys, budget.max_elements)
-        ellis_size, ker = sg.size, kernel(sg)
-        kernel_size = kernel_image_check(sys, _ellis=sg, _kernel=ker).kernel_size
+        ellis_size, kernel_size = sg.size, kernel_image_check(sys, _ellis=sg).kernel_size
     except SizeCapError as exc:
         capped = exc
         notes.append(f"size cap reached: {exc}")
@@ -450,8 +422,7 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     measures = invariant_measures(sys)
     notes.append(f"extreme invariant measures: {len(measures)}")
 
-    search = convex_koehler_zero(sys, budget, _ellis=capped or sg, _kernel=ker,
-                                 _measures=measures)
+    search = convex_koehler_zero(sys, budget, _ellis=capped or sg)
     if search.status == "found":
         weak_star = norm = Verdict.TRUE
         # A zero of co(S) projects onto fix(S'), spanned by the extreme measures.
@@ -472,7 +443,7 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     # Cross-checks, from the supports counted in each generator-graph
     # component.  For commuting generators the equivalences are theorems
     # and any disagreement is a hard error; otherwise it is recorded.
-    dec = decomposition_check(sys, _measures=measures)
+    dec = decomposition_check(sys)
     sep = dec.separating
     if sys.commuting:
         assert search.status == "found", "commuting systems always admit a zero"

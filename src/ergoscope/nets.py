@@ -31,12 +31,14 @@ def first_repeat(start, step, count: int | None = None) -> tuple[list, int]:
 
 
 def matrix_powers(m: OperatorMatrix, count: int) -> list[OperatorMatrix]:
-    """[I, M, ..., M^(count-1)], each distinct power computed once: from the
-    first repeat M^j = M^i on, each power is the object j - i places back."""
+    """[I, M, ..., M^(count-1)], empty for count 0.  Each distinct power is computed
+    once: from the first repeat M^j = M^i on, each power is the object j - i places back."""
+    if count < 0:
+        raise ValueError("need count >= 0")
     powers, period = first_repeat(OperatorMatrix.identity(m.n), lambda p: p @ m, count)
     while len(powers) < count:
         powers.append(powers[-period])
-    return powers
+    return powers[:count]
 
 
 def cesaro(m: OperatorMatrix, n: int) -> OperatorMatrix:
@@ -71,6 +73,8 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
     tail_tol = Fraction(tail_tol)
     if r <= 1:
         raise ValueError("Abel means need r > 1")
+    if tail_tol <= 0:
+        raise ValueError("Abel means need tail_tol > 0")
     bound = _power_bound(m)
     terms = 0
     remainder = bound  # bound * r^-terms
@@ -159,6 +163,8 @@ def abel_net(m: OperatorMatrix, rs, terms: int = 24, label: str = "abel") -> Net
     The raw Abel sum truncates to total weight below one; renormalizing
     keeps every step an exact convex combination of powers.
     """
+    if terms < 1:
+        raise ValueError("need terms >= 1")
     steps = []
     powers = matrix_powers(m, terms)
     for r in rs:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from . import rational
 from .rational import ONE, ZERO, Row
-from .systems import FiniteSystem, congruence_closure, minimal_sets
+from .systems import FiniteSystem, congruence_closure, invariant_supports
 from .transforms import Transformation
 
 
@@ -183,17 +183,13 @@ def invariant_measures(sys: FiniteSystem) -> tuple[Measure, ...]:
     uniform measure on it.  So the extreme points are exactly the uniform
     measures on the minimal sets that every generator permutes.
     """
-    maps = sys.generator_maps
-    extremes = []
-    for m in minimal_sets(sys):
-        if all(len({g(x) for x in m}) == len(m) for g in maps):
-            extremes.append(Measure.uniform_on(sys.n, m))
+    extremes = tuple(Measure.uniform_on(sys.n, m) for m in invariant_supports(sys))
     for mu in extremes:
-        assert all(sorted(map(g, mu.support)) == sorted(mu.support) for g in maps)
+        assert all(sorted(map(g, mu.support)) == sorted(mu.support) for g in sys.generator_maps)
     if sys.commuting:
         # Commuting maps always share a fixed probability vector.
         assert extremes, "commuting system lost its invariant measure"
-    return tuple(extremes)
+    return extremes
 
 
 def fixed_space(matrices) -> tuple[Row, ...]:
@@ -246,7 +242,7 @@ def _indicators(n: int, blocks) -> tuple[Row, ...]:
                  for b in sorted(blocks, key=max))
 
 
-def decomposition_check(sys: FiniteSystem, _measures=None) -> DecompositionReport:
+def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
     """Does fix(S) + lin rg(Id - S) split the function space, and does
     fix(S) separate fix(S')?  Both come from one count on the state graph.
 
@@ -263,8 +259,7 @@ def decomposition_check(sys: FiniteSystem, _measures=None) -> DecompositionRepor
     n = sys.n
     phi = congruence_closure(sys, [(x, g(x)) for g in sys.generator_maps for x in range(n)])
     components = [frozenset(x for x in range(n) if phi[x] == c) for c in range(max(phi) + 1)]
-    measures = invariant_measures(sys) if _measures is None else _measures
-    supports = [mu.support for mu in measures]
+    supports = invariant_supports(sys)
     counts = [sum(m <= c for m in supports) for c in components]
     return DecompositionReport(len(components), n - len(supports),
                                all(k == 1 for k in counts), all(k <= 1 for k in counts),

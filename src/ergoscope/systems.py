@@ -122,6 +122,12 @@ def minimal_sets(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
     return tuple(sorted(found, key=min))
 
 
+def invariant_supports(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
+    """The minimal sets that every generator permutes, sorted by least element."""
+    return tuple(m for m in minimal_sets(sys)
+                 if all(len({g(x) for x in m}) == len(m) for g in sys.generator_maps))
+
+
 @dataclass(frozen=True)
 class TransitivityReport:
     """Witnesses for {x} u Sx = K and for the stricter Sx = K."""

@@ -60,6 +60,8 @@ class Transformation:
         return Transformation(tuple(self.images[y] for y in other.images))
 
     def power(self, k: int) -> "Transformation":
+        if k < 0:
+            raise ValueError("need k >= 0")
         result = Transformation.identity(self.degree)
         for _ in range(k):
             result = self.compose(result)

@@ -157,6 +157,41 @@ def test_trace_rejects_n_below_one(tmp_path, n):
     assert "need N >= 1" in result.stderr
 
 
+CONSTANT_A = {"name": "g", "map": {"a": "a", "b": "a"}}
+CONSTANT_B = {"name": "g", "map": {"a": "b", "b": "b"}}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    # Two generators named g: the second used to replace the first.
+    ("classify", {"states": ["a", "b"], "generators": [CONSTANT_A, CONSTANT_B]},
+     "generator names must be distinct"),
+    ("classify", {"grid": 5}, "grid descriptor must be a JSON object"),
+    ("classify", {"grid": {"multiples_of_pi": "2"}}, "multiples_of_pi must be an integer"),
+    ("classify", {"subshift": {"window": "7"}}, "window must be an integer"),
+    ("classify", {"subshift": {"window": 3, "horizon": "100"}},
+     "horizon must be an integer"),
+    ("classify", {"states": ["a", "b"], "generators": [{"name": "g", "map": ["a", "b"]}]},
+     "generator 'g' must map every state"),
+    ("classify", {"states": [["a"], "b"], "generators": [CONSTANT_A]},
+     "states must be a list of string labels"),
+    ("classify", {"name": 5, "states": ["a", "b"], "generators": [CONSTANT_A]},
+     "name must be a string"),
+    ("classify", {"states": ["a", "b"], "generators": []}, "need at least one generator"),
+    ("trace", CYCLIC, "--r must be finite"),
+    ("trace", CYCLIC, "--tol must be finite"),
+], ids=["duplicate-names", "grid-not-object", "grid-string", "window-string",
+        "horizon-string", "map-list", "state-list", "name-int", "no-generators",
+        "r-inf", "tol-inf"])
+def test_invalid_input_exits_one_without_traceback(tmp_path, command, doc, message):
+    args = [command, write_descriptor(tmp_path, doc)]
+    if message.startswith("--"):
+        args += ["--net", "abel", message.split()[0], "inf"]
+    result = run_cli(args)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(f"input error: {message}")
+    assert "Traceback" not in result.stderr
+
+
 def test_classify_subshift_descriptor(tmp_path):
     doc = {"subshift": {"generator": "explicit", "bits": "01" * 10, "window": 2}}
     path = write_descriptor(tmp_path, doc)

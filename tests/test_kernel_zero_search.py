@@ -2,7 +2,9 @@
 
 ``convex_koehler_zero`` solves its exact LP over the kernel K alone, and
 ``_absorbs`` reads A_t Q = Q A_t = Q off the image tuple of t.  The
-reference for the latter is the pair of exact matrix products.
+reference for the latter is the pair of exact matrix products.  The
+commuting zero composes one period of each map's powers as image tuples;
+its reference convolves per-map limits keyed by ``Transformation``.
 """
 
 import dataclasses
@@ -14,13 +16,14 @@ from hypothesis import strategies as st
 
 from ergoscope.envelope import (
     _absorbs,
-    cesaro_limit_of_map,
+    _zero_by_cesaro_product,
     classify,
     ellis,
+    power_periodicity,
     verify_zero_on_all_elements,
 )
 from ergoscope.operators import OperatorMatrix, adjoint_matrix, pushforward
-from ergoscope.systems import random_system
+from ergoscope.systems import FiniteSystem, random_system
 from ergoscope.transforms import Transformation, kernel
 
 
@@ -38,7 +41,8 @@ def map_and_matrix(draw):
     b = OperatorMatrix(tuple(
         tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n)
     ))
-    p = pushforward(cesaro_limit_of_map(t).items())
+    preperiod, period, powers = power_periodicity(t)
+    p = pushforward((s, Fraction(1, period)) for s in powers[preperiod:])
     sides = draw(st.sampled_from(["neither", "left", "right", "both"]))
     q = {"neither": b, "left": p @ b, "right": b @ p, "both": p @ b @ p}[sides]
     return t, q, sides
@@ -87,3 +91,39 @@ def test_one_element_kernel_gets_a_zero(n, g, seed, size):
     not_a_zero = dataclasses.replace(cert, matrix=OperatorMatrix.identity(n))
     with pytest.raises(AssertionError, match="zero identity fails on element"):
         verify_zero_on_all_elements(not_a_zero, sg)
+
+
+def ref_cesaro_product(sys_):
+    """The earlier definition: each map's Cesàro limit as weights on
+    ``Transformation`` objects, convolved generator by generator, and the
+    witness sorted by image tuple."""
+    weights = None
+    for g in sys_.generator_maps:
+        preperiod, period, powers = power_periodicity(g)
+        limit = {s: Fraction(1, period) for s in powers[preperiod:]}
+        if weights is None:
+            weights = limit
+            continue
+        product = {}
+        for s, ws in weights.items():
+            for t, wt in limit.items():
+                key = s.compose(t)
+                product[key] = product.get(key, Fraction(0)) + ws * wt
+        weights = product
+    return tuple(sorted(weights.items(), key=lambda kv: kv[0].images))
+
+
+@st.composite
+def commuting_systems(draw):
+    """1-3 powers of one map on 1-6 states."""
+    n = draw(st.integers(1, 6))
+    base = Transformation(draw(st.tuples(*[st.integers(0, n - 1)] * n)))
+    exponents = draw(st.lists(st.integers(1, 2 * n), min_size=1, max_size=3))
+    return FiniteSystem(tuple(map(str, range(n))),
+                        tuple((f"g{i}", base.power(k)) for i, k in enumerate(exponents)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(commuting_systems())
+def test_cesaro_product_matches_the_convolved_limits(sys_):
+    assert _zero_by_cesaro_product(sys_).witness == ref_cesaro_product(sys_)

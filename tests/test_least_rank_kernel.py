@@ -150,7 +150,7 @@ def ref_convex_koehler_zero(sys_, budget=None):
     if sys_.commuting:
         cert = envelope._zero_by_cesaro_product(sys_)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    reason = envelope._zero_refuted_by_minimal_sets(sys_, envelope.invariant_measures(sys_))
+    reason = envelope._zero_refuted_by_minimal_sets(sys_)
     if reason is not None:
         return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
     cert = ref_word_average(sys_, REF_MAX_WORD_LEN)

@@ -14,6 +14,7 @@ from ergoscope.nets import (
     folner_box,
     folner_net,
     interleave,
+    matrix_powers,
     verify_net,
 )
 from ergoscope.operators import Measure, OperatorMatrix, adjoint_matrix, koopman_matrix
@@ -91,6 +92,27 @@ def test_abel_zero_matrix_single_term():
 def test_abel_rejects_small_r():
     with pytest.raises(ValueError):
         abel(SHIFT3, F(1), F(1, 10))
+
+
+@pytest.mark.parametrize("tail_tol", [0, -1])
+def test_abel_rejects_nonpositive_tail_tolerance(tail_tol):
+    # The remainder bound / r^k never reaches 0, so truncation would not end.
+    with pytest.raises(ValueError, match="tail_tol > 0"):
+        abel(adjoint_matrix(Transformation((1, 2, 0))), 2, tail_tol)
+
+
+@pytest.mark.parametrize("terms", [0, -3])
+def test_abel_net_rejects_terms_below_one(terms):
+    with pytest.raises(ValueError, match="need terms >= 1"):
+        abel_net(SHIFT3, [F(2)], terms=terms)
+
+
+def test_matrix_powers_counts():
+    assert matrix_powers(SHIFT3, 0) == []
+    assert matrix_powers(SHIFT3, 1) == [OperatorMatrix.identity(3)]
+    assert len(matrix_powers(SHIFT3, 5)) == 5
+    with pytest.raises(ValueError, match="need count >= 0"):
+        matrix_powers(SHIFT3, -2)
 
 
 def test_folner_single_generator_is_cesaro():

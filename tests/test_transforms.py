@@ -37,6 +37,13 @@ def brute_closure(gens):
         elems = new
 
 
+def test_power_rejects_negative_exponent():
+    assert SHIFT3.power(0) == Transformation.identity(3)
+    assert SHIFT3.power(4) == SHIFT3
+    with pytest.raises(ValueError, match="need k >= 0"):
+        Transformation((1, 0)).power(-1)
+
+
 def test_closure_identity():
     sg = generate_closure([Transformation.identity(3)])
     assert sg.size == 1 and sg.elements[0].is_identity
