@@ -76,6 +76,21 @@ class FiniteSystem:
             found.append(frozenset(seen))
         return tuple(found)
 
+    @cached_property
+    def minimal_sets(self) -> tuple[frozenset[int], ...]:
+        """All minimal nonempty invariant subsets, sorted by least element.
+
+        A set is minimal exactly when it is the orbit closure of each of
+        its points, i.e. a sink strongly connected component of the
+        one-step graph; found once per system from ``reach``.
+        """
+        closures = [r | {x} for x, r in enumerate(self.reach)]
+        found = []
+        for c in closures:
+            if all(closures[y] == c for y in c) and c not in found:
+                found.append(c)
+        return tuple(sorted(found, key=min))
+
     def system_id(self) -> str:
         if self.name:
             return self.name
@@ -109,22 +124,13 @@ def orbit(sys: FiniteSystem, x: int) -> Orbit:
 
 
 def minimal_sets(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
-    """All minimal nonempty invariant subsets, sorted by least element.
-
-    A set is minimal exactly when it is the orbit closure of each of its
-    points, i.e. a sink strongly connected component of the one-step graph.
-    """
-    closures = [r | {x} for x, r in enumerate(sys.reach)]
-    found = []
-    for c in closures:
-        if all(closures[y] == c for y in c) and c not in found:
-            found.append(c)
-    return tuple(sorted(found, key=min))
+    """All minimal nonempty invariant subsets, sorted by least element."""
+    return sys.minimal_sets
 
 
 def invariant_supports(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
     """The minimal sets that every generator permutes, sorted by least element."""
-    return tuple(m for m in minimal_sets(sys)
+    return tuple(m for m in sys.minimal_sets
                  if all(len({g(x) for x in m}) == len(m) for g in sys.generator_maps))
 
 

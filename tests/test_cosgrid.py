@@ -1,9 +1,15 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergoscope.cosgrid import (
+    GridLimitReport,
     build_grid,
     cesaro_adjoint,
     dirac_weights,
@@ -117,3 +123,138 @@ def test_trace_rows():
     assert [r[0] for r in rows] == ["1", "10", "100"]
     masses = [float(r[1]) for r in rows]
     assert masses == sorted(masses, reverse=True)
+
+
+# The faster weak_star_limit_check and iterate_stepwise against the
+# earlier routines, kept verbatim in ``oracles``: same bytes everywhere.
+
+@st.composite
+def grid_measures(draw):
+    """A grid with K 1-3 and 1-2,000 subdivisions, and a uniform, Dirac
+    (on or off pi), random signed or zero measure on it."""
+    model = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 2000)))
+    size = len(model.points)
+    kind = draw(st.sampled_from(["uniform", "dirac_pi", "dirac_off", "signed", "zero"]))
+    if kind == "uniform":
+        mu = uniform_weights(model)
+    elif kind == "dirac_pi":
+        mu = dirac_weights(model, int(draw(st.sampled_from(list(model.pi_indices)))))
+    elif kind == "dirac_off":
+        # With one subdivision every point is a multiple of pi.
+        off = [i for i in range(1, size - 1) if model.diagonal[i] != 1.0] or [0]
+        mu = dirac_weights(model, draw(st.sampled_from(off)))
+    elif kind == "signed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mu = rng.standard_normal(size) * draw(st.sampled_from([1.0, 1e-300, 1e-310]))
+    else:
+        mu = np.zeros(size)
+    return model, mu
+
+
+TOLS = [0.0] + [10.0**-k for k in range(3, 16)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_measures(), st.sampled_from(TOLS),
+       st.integers(0, 2**12) | st.just(10**14))
+@example((build_grid(2, 10**4), uniform_weights(build_grid(2, 10**4))), 1e-12, 10**14)
+# With tol 0 the power distance must reach exactly 0, when the mass underflows.
+@example((build_grid(1, 7), dirac_weights(build_grid(1, 7), 3)), 0.0, 10**14)
+def test_weak_star_check_matches_reference(model_mu, tol, max_n):
+    model, mu = model_mu
+    new = weak_star_limit_check(model, mu, tol, max_n)
+    ref = oracles.weak_star_limit_check(model, mu, tol, max_n)
+    for field in dataclasses.fields(ref):
+        assert repr(getattr(new, field.name)) == repr(getattr(ref, field.name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid_measures())
+@example((build_grid(1, 1), np.array([0.5, -2.0**-1074])))
+def test_stepwise_matches_reference_across_blocks(model_mu):
+    model, mu = model_mu
+    block = max(1, 2**17 // len(mu))
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+        new = iterate_stepwise(model, mu, n)
+        assert new.tobytes() == oracles.iterate_stepwise(model, mu, n).tobytes()
+
+
+def test_negative_arguments_raise():
+    model = build_grid(1, 10)
+    mu = uniform_weights(model)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        iterate_stepwise(model, mu, -1)
+    for tol in (-1e-9, float("nan")):
+        with pytest.raises(ValueError, match="need tol >= 0"):
+            weak_star_limit_check(model, mu, tol)
+
+
+def off_by_one_ulp(model):
+    """``model`` with its first pi diagonal entry just below 1."""
+    diagonal = model.diagonal.copy()
+    diagonal[model.pi_indices[0]] = 1 - 2**-53
+    return dataclasses.replace(model, diagonal=diagonal)
+
+
+def faulty_from_step(model, step):
+    """``model`` whose diagonal reads as ``off_by_one_ulp``'s from the
+    ``step``-th multiplication by it on, so the first wrong pi mass
+    appears at that step: with a fixed diagonal it always appears at step 1."""
+    good, bad = model.diagonal, off_by_one_ulp(model).diagonal
+    calls = []
+
+    class LateFault(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc)
+            use = bad if len(calls) >= step else good
+            inputs = tuple(use if x is self else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return dataclasses.replace(model, diagonal=good.view(LateFault))
+
+
+@pytest.mark.parametrize("stepwise", [iterate_stepwise, oracles.iterate_stepwise],
+                         ids=["blocked", "reference"])
+def test_stepwise_catches_a_wrong_pi_entry(stepwise):
+    model = build_grid(2, 100)
+    mu = uniform_weights(model)
+    with pytest.raises(AssertionError):
+        stepwise(off_by_one_ulp(model), mu, 1)
+    block = 2**17 // len(mu)
+    # The first block is full and right; the fault is in the partial last one.
+    stepwise(faulty_from_step(model, block + 3), mu, block + 2)
+    with pytest.raises(AssertionError):
+        stepwise(faulty_from_step(model, block + 3), mu, block + 5)
+
+
+# Recorded from the routines before the underflow skip and the blocked check.
+STEPWISE_SHA256 = "3ca0940822c09f2cea983b19e3df6ffb4ecb7194458ab4d1f64167512a115f9d"
+BENCHMARK_REPORTS = {
+    (100, 1e-06): GridLimitReport(True, 32768, 67108864, 1.8836941484957743e-09,
+                                  9.790037382903913e-07, False),
+    (100, 1e-09): GridLimitReport(True, 65536, 68719476736, 1.7830225816513036e-16,
+                                  9.560583381742103e-10, False),
+    (100, 1e-12): GridLimitReport(True, 65536, 70368744177664, 1.7830225816513036e-16,
+                                  9.336507208732522e-13, False),
+    (1000, 1e-06): GridLimitReport(True, 2097152, 1073741824, 6.401455859819201e-08,
+                                   6.199786730038362e-07, False),
+    (1000, 1e-09): GridLimitReport(True, 4194304, 1099511627776, 2.0499563221886754e-12,
+                                   6.054479228553088e-10, False),
+    (1000, 1e-12): GridLimitReport(False, 8388608, None, 2.1022110416713806e-21,
+                                   9.4601237946142e-12, False),
+    (10000, 1e-06): GridLimitReport(True, 134217728, 8589934592, 2.6577315678227007e-07,
+                                    7.759892321882859e-07, False),
+    (10000, 1e-09): GridLimitReport(True, 268435456, 8796093022208, 3.531945115149068e-10,
+                                    7.578019845588729e-10, False),
+    (10000, 1e-12): GridLimitReport(False, 536870912, None, 6.237630014120093e-16,
+                                    9.472524806985911e-11, False),
+}
+
+
+def test_golden_stepwise_bytes_and_benchmark_reports():
+    model = build_grid(2, 100)
+    final = iterate_stepwise(model, uniform_weights(model), 10**5)
+    assert hashlib.sha256(final.tobytes()).hexdigest() == STEPWISE_SHA256
+    for (subdivisions, tol), expected in BENCHMARK_REPORTS.items():
+        model = build_grid(2, subdivisions)
+        assert repr(weak_star_limit_check(model, uniform_weights(model), tol)) == repr(expected)

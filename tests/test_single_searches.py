@@ -2,7 +2,8 @@
 
 ``FiniteSystem.reach`` holds Sx for every state x, and ``orbit``,
 ``minimal_sets``, ``transitivity`` and the minimal-set refutation read
-it.  The references below are the earlier definitions, which searched
+it; ``FiniteSystem.minimal_sets`` holds the minimal sets, found once
+per system.  The references below are the earlier definitions, which searched
 the state graph again from each state on every call.
 ``decomposition_check`` reads the fixed functions off the components of
 the generator graph and the fixed measures off the supports of the
@@ -263,6 +264,25 @@ def test_classify_searches_the_state_graph_once(monkeypatch):
         classify(sys_)
         assert searches == [sys_.n]
         assert orbits == []
+
+
+@pytest.mark.parametrize("args, commuting", [((5, 3, 9), False), ((4, 2, 1), False),
+                                            ((5, 2, 4), True)])
+def test_classify_finds_the_minimal_sets_once(monkeypatch, args, commuting):
+    descriptor = FiniteSystem.__dict__["minimal_sets"]
+    assert isinstance(descriptor, cached_property)
+    find = descriptor.func
+    searches = []
+
+    def counted(sys_):
+        searches.append(sys_.n)
+        return find(sys_)
+
+    monkeypatch.setattr(descriptor, "func", counted)
+    sys_ = random_system(*args[:2], commuting=commuting, seed=args[2])
+    assert sys_.commuting == commuting
+    classify(sys_)
+    assert searches == [sys_.n]
 
 
 @pytest.mark.parametrize("args, status, rref_calls", [
