@@ -2,7 +2,7 @@ r"""
 Transformation semigroups
 =========================
 
-Closures, Cayley tables, and ideal structure of finite map semigroups.
+Closures, generator graphs, and ideal structure of finite map semigroups.
 """
 
 from ergoscope import (

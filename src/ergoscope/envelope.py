@@ -80,7 +80,7 @@ class MatrixSemigroup:
     When the elements are pushforwards of deterministic maps, ``bridge``
     holds the transformation semigroup with the same element order:
     pushforward(s o t) = pushforward(s) @ pushforward(t), so the bridge's
-    generator graphs and Cayley table index the matrix products too.
+    generator graphs index the matrix products too.
     """
 
     elements: tuple[OperatorMatrix, ...]
@@ -310,7 +310,8 @@ def jacobs(sys: FiniteSystem, mu: Measure,
     """Restrict the Köhler semigroup to the support of an invariant measure.
 
     The restriction map is verified surjective (by construction) and
-    multiplicative on all element pairs.
+    multiplicative on every element against every generator; induction
+    on word length extends that to all element pairs.
     """
     for name, g in sys.generators:
         pushed = Measure(adjoint_matrix(g).apply(mu.weights))

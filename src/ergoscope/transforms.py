@@ -106,8 +106,8 @@ class TransSemigroup:
     ``right[i, k]`` is the index of ``elements[i] o g_k`` and ``left[i, k]``
     the index of ``g_k o elements[i]``, where ``g_k`` is the element at
     ``generator_indices[k]``.  The two graphs determine the whole
-    multiplication (Froidure & Pin 1997) in O(m * g) space; the dense
-    table ``cayley`` is derived from them on first use.
+    multiplication (Froidure & Pin 1997) in O(m * g) space, and they are
+    its only representation: no m x m table is built.
     """
 
     images: np.ndarray
@@ -132,28 +132,6 @@ class TransSemigroup:
         """Rank of every element: the number of distinct values in its row."""
         ordered = np.sort(self.images, axis=1)
         return 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
-
-    @cached_property
-    def cayley(self) -> np.ndarray:
-        """cayley[i][j] = index of elements[i] o elements[j] (m x m, lazy).
-
-        Every element is a generator or a right translate s o g_k of an
-        element reached before it, so its column is right[column(s), k].
-        """
-        table = np.empty((self.size, self.size), dtype=np.int32)
-        reached = np.zeros(self.size, dtype=bool)
-        for k, j in enumerate(self.generator_indices):
-            table[:, j] = self.right[:, k]
-            reached[j] = True
-        queue = list(self.generator_indices)
-        for s in queue:
-            for k, j in enumerate(self.right[s].tolist()):
-                if not reached[j]:
-                    table[:, j] = self.right[table[:, s], k]
-                    reached[j] = True
-                    queue.append(j)
-        table.setflags(write=False)
-        return table
 
     def index_of(self, t: Transformation) -> int:
         if t.degree != self.degree:
@@ -232,19 +210,6 @@ def generate_closure(
     return _semigroup(_search(gen_rows, cap), gen_rows)
 
 
-def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:
-    """S^1 a S^1: everything reached from a by left and right generator steps."""
-    members = {a}
-    frontier = [a]
-    while frontier:
-        fresh = set(sg.left[frontier].ravel().tolist())
-        fresh |= set(sg.right[frontier].ravel().tolist())
-        fresh -= members
-        members |= fresh
-        frontier = list(fresh)
-    return frozenset(members)
-
-
 def kernel(sg: TransSemigroup) -> frozenset[int]:
     """The minimal two-sided ideal K, as element indices: the elements of least rank.
 
@@ -304,7 +269,6 @@ def center(sg: TransSemigroup) -> frozenset[int]:
 class SemigroupMorphism:
     """A verified multiplicative surjection between two TransSemigroups."""
 
-    source_size: int
     target: TransSemigroup
     element_map: tuple[int, ...]
     checked_identities: int
@@ -314,30 +278,33 @@ class SemigroupMorphism:
         return set(self.element_map) == set(range(self.target.size))
 
 
-def _verify_multiplicative(
-    sg: TransSemigroup, target: TransSemigroup, element_map: tuple[int, ...]
-) -> int:
-    phi = np.asarray(element_map, dtype=np.int64)
-    lhs = phi[sg.cayley]
-    rhs = target.cayley[np.ix_(phi, phi)]
-    if not np.array_equal(lhs, rhs):
-        raise AssertionError("induced map failed multiplicativity check")
-    return sg.size * sg.size
-
-
 def _image_morphism(sg: TransSemigroup, images: np.ndarray) -> SemigroupMorphism:
-    """The map elements[i] -> images[i] onto the semigroup of the images, verified."""
+    """The map phi: elements[i] -> images[i] onto the semigroup of the images, verified.
+
+    Checks phi(s o g) = phi(s) o phi(g) for every element s and every
+    generator g, on the image rows: m identities per generator.  That
+    covers every pair s, t by induction on the length of a word for t:
+    with t = t' o g, phi(s o t) = phi(s o t') o phi(g) =
+    phi(s) o phi(t') o phi(g) = phi(s) o phi(t).
+    """
+    for k, g in enumerate(sg.generator_indices):
+        if not np.array_equal(images[sg.right[:, k]], images[:, images[g]]):
+            raise AssertionError("induced map failed multiplicativity check")
     target = _semigroup(images, images[list(sg.generator_indices)])
     element_map = tuple(np.searchsorted(_keys(target.images), _keys(images)).tolist())
-    checked = _verify_multiplicative(sg, target, element_map)
-    return SemigroupMorphism(sg.size, target, element_map, checked)
+    return SemigroupMorphism(target, element_map, sg.size * len(sg.generator_indices))
 
 
 def restriction_epimorphism(sg: TransSemigroup, subset) -> SemigroupMorphism:
     """Restrict every element to an invariant subset of states.
 
-    Rejects non-invariant subsets with a witness state.
+    Rejects states outside ``range(sg.degree)`` and non-invariant subsets,
+    each with a witness state.
     """
+    subset = list(subset)
+    for x in subset:
+        if not (isinstance(x, (int, np.integer)) and 0 <= x < sg.degree):
+            raise ValueError(f"state {x!r} is not in range({sg.degree})")
     states = sorted(set(subset))
     if not states:
         raise ValueError("empty subset")
@@ -376,20 +343,3 @@ def factor_epimorphism(sg: TransSemigroup, phi) -> SemigroupMorphism:
         )
     return _image_morphism(sg, pushed[:, first])
 
-
-def enumerate_all_ideals(sg: TransSemigroup) -> list[frozenset[int]]:
-    """Every nonempty two-sided ideal, by brute force over subsets.
-
-    A subset is an ideal when both generator graphs map it into itself.
-    Exponential in the semigroup size; only for small oracles.
-    """
-    m = sg.size
-    if m > 20:
-        raise ValueError("subset enumeration is only feasible for small semigroups")
-    steps = [set(sg.left[q].tolist()) | set(sg.right[q].tolist()) for q in range(m)]
-    ideals = []
-    for bits in range(1, 1 << m):
-        members = {i for i in range(m) if bits >> i & 1}
-        if all(steps[q] <= members for q in members):
-            ideals.append(frozenset(members))
-    return ideals

@@ -2,13 +2,61 @@
 
 ``solve`` is exact.  The cosgrid references are the earlier floating-point
 routines, kept verbatim so that the faster ones can be required to give
-the same bytes.
+the same bytes.  ``cayley_table`` composes image rows, independently of
+the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
+elements against it pair by pair.
 """
 
 import numpy as np
 
 from ergoscope.cosgrid import GridLimitReport, GridModel, iterate_adjoint, pi_projection
 from ergoscope.rational import ZERO, rref
+from ergoscope.transforms import TransSemigroup, _keys
+
+
+def cayley_table(sg: TransSemigroup) -> np.ndarray:
+    """table[i, j] = index of elements[i] o elements[j] (m x m)."""
+    keys = _keys(sg.images)
+    return np.stack([np.searchsorted(keys, _keys(sg.images[:, sg.images[j]]))
+                     for j in range(sg.size)], axis=1)
+
+
+def multiplicative_on_all_pairs(sg: TransSemigroup, images: np.ndarray) -> bool:
+    """Whether elements[i] -> images[i] maps every product s o t to images[s] o images[t]."""
+    table = cayley_table(sg)
+    return all(np.array_equal(images[table[:, t]], images[:, images[t]])
+               for t in range(sg.size))
+
+
+def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:
+    """S^1 a S^1: everything reached from a by left and right generator steps."""
+    members = {a}
+    frontier = [a]
+    while frontier:
+        fresh = set(sg.left[frontier].ravel().tolist())
+        fresh |= set(sg.right[frontier].ravel().tolist())
+        fresh -= members
+        members |= fresh
+        frontier = list(fresh)
+    return frozenset(members)
+
+
+def enumerate_all_ideals(sg: TransSemigroup) -> list[frozenset[int]]:
+    """Every nonempty two-sided ideal, by brute force over subsets.
+
+    A subset is an ideal when both generator graphs map it into itself.
+    Exponential in the semigroup size; only for small oracles.
+    """
+    m = sg.size
+    if m > 20:
+        raise ValueError("subset enumeration is only feasible for small semigroups")
+    steps = [set(sg.left[q].tolist()) | set(sg.right[q].tolist()) for q in range(m)]
+    ideals = []
+    for bits in range(1, 1 << m):
+        members = {i for i in range(m) if bits >> i & 1}
+        if all(steps[q] <= members for q in members):
+            ideals.append(frozenset(members))
+    return ideals
 
 
 def solve(rows, rhs):

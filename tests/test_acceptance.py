@@ -57,13 +57,8 @@ from ergoscope.subshift import (
     window_closure,
 )
 from ergoscope.systems import FiniteSystem, orbit, random_system, transitivity, congruence_closure
-from ergoscope.transforms import (
-    Transformation,
-    enumerate_all_ideals,
-    kernel,
-    principal_ideal,
-    zero,
-)
+from ergoscope.transforms import Transformation, kernel, zero
+from oracles import cayley_table, enumerate_all_ideals, multiplicative_on_all_pairs, principal_ideal
 
 F = Fraction
 
@@ -132,7 +127,7 @@ def oracle_kernel(sg):
             j = principal_ideal(sg, a)
             cur = j if cur is None else cur & j
         return frozenset(cur)
-    table = sg.cayley
+    table = cayley_table(sg)
 
     def full_translates(a):
         return (len(np.unique(table[:, a])) == m
@@ -415,21 +410,29 @@ def test_criterion_9_epimorphisms():
         sys_ = random_system(rng.randint(2, 5), rng.randint(1, 2),
                              commuting=rng.random() < 0.5, seed=seed)
         sg = ellis(sys_)
+        checks = sg.size * len(sg.generator_indices)
+
+        def all_pairs(target, element_map):
+            return multiplicative_on_all_pairs(sg, target.images[list(element_map)])
 
         subset = orbit(sys_, rng.randrange(sys_.n)).states
         restriction = restriction_epimorphism(sg, subset)
         assert restriction.surjective
-        assert restriction.checked_identities == sg.size**2
+        assert restriction.checked_identities == checks
+        assert all_pairs(restriction.target, restriction.element_map)
 
         x, y = rng.randrange(sys_.n), rng.randrange(sys_.n)
         phi = congruence_closure(sys_, [(x, y)])
         factor = factor_epimorphism(sg, phi)
         assert factor.surjective
+        assert factor.checked_identities == checks
+        assert all_pairs(factor.target, factor.element_map)
         verified += 1
 
         for mu in invariant_measures(sys_):
             result = jacobs(sys_, mu)
-            assert result.checked_identities == sg.size**2
+            assert result.checked_identities == checks
+            assert all_pairs(result.semigroup.bridge, result.restriction_map)
             jacobs_checked += 1
     assert verified == 100
     report_pass(9, "restriction/factor/Jacobs epimorphisms verified",

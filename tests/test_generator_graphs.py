@@ -6,28 +6,29 @@ they replaced, run on a table built here by composing every pair of
 elements.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ergoscope.envelope import classify, koehler
 from ergoscope.systems import FiniteSystem, congruence_closure, random_system
 from ergoscope.transforms import (
     SizeCapError,
     Transformation,
-    TransSemigroup,
+    _image_morphism,
     center,
-    enumerate_all_ideals,
     factor_epimorphism,
     generate_closure,
     idempotents,
     kernel,
     left_zeros,
-    principal_ideal,
     restriction_epimorphism,
     right_zeros,
     zero,
 )
+from oracles import cayley_table, enumerate_all_ideals, multiplicative_on_all_pairs, principal_ideal
 
 MAX_ELEMENTS = 150
 MAX_IDEAL_ENUMERATION = 12
@@ -121,12 +122,12 @@ def assert_graphs_match(sg, table):
     for k, g in enumerate(sg.generator_indices):
         assert np.array_equal(sg.right[:, k], table[:, g])
         assert np.array_equal(sg.left[:, k], table[g, :])
-    assert np.array_equal(sg.cayley, table)
+    assert np.array_equal(cayley_table(sg), table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
-def test_graphs_and_lazy_cayley_match_brute_table(gens):
+def test_graphs_and_cayley_oracle_match_brute_table(gens):
     sg = small_closure(gens)
     assert {e.images for e in sg.elements} == brute_closure(gens)
     assert_graphs_match(sg, brute_table(sg))
@@ -160,6 +161,27 @@ def invariant_closure(gens, x):
     return sorted(reach)
 
 
+def restriction_of(gens, x):
+    """The orbit closure of x and the restriction of an image tuple to it."""
+    states = invariant_closure(gens, x)
+    pos = {y: i for i, y in enumerate(states)}
+    return states, lambda t: tuple(pos[t[y]] for y in states)
+
+
+def factor_of(gens, pair):
+    """The congruence generated by a pair and the induced map of an image tuple."""
+    n = len(gens[0])
+    sys_ = FiniteSystem(
+        tuple(str(x) for x in range(n)),
+        tuple((f"g{i}", Transformation(g)) for i, g in enumerate(gens)),
+    )
+    phi = congruence_closure(sys_, [pair])
+    classes = {}
+    for x, c in enumerate(phi):
+        classes.setdefault(c, x)
+    return phi, lambda t: tuple(phi[t[classes[c]]] for c in range(len(classes)))
+
+
 def check_morphism(sg, morphism, image, gens):
     target = morphism.target
     assert {e.images for e in target.elements} == brute_closure([image(g) for g in gens])
@@ -172,10 +194,8 @@ def check_morphism(sg, morphism, image, gens):
 @given(generator_sets(), st.data())
 def test_restriction_target_matches_brute_closure(gens, data):
     sg = small_closure(gens)
-    states = invariant_closure(gens, data.draw(st.integers(0, sg.degree - 1)))
-    pos = {x: i for i, x in enumerate(states)}
-    morphism = restriction_epimorphism(sg, states)
-    check_morphism(sg, morphism, lambda t: tuple(pos[t[x]] for x in states), gens)
+    states, image = restriction_of(gens, data.draw(st.integers(0, sg.degree - 1)))
+    check_morphism(sg, restriction_epimorphism(sg, states), image, gens)
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,31 +203,53 @@ def test_restriction_target_matches_brute_closure(gens, data):
 def test_factor_target_matches_brute_closure(gens, data):
     sg = small_closure(gens)
     n = sg.degree
-    sys_ = FiniteSystem(
-        tuple(str(x) for x in range(n)),
-        tuple((f"g{i}", Transformation(g)) for i, g in enumerate(gens)),
-    )
     pair = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-    phi = congruence_closure(sys_, [pair])
-    morphism = factor_epimorphism(sg, phi)
-    classes = {}
-    for x, c in enumerate(phi):
-        classes.setdefault(c, x)
-
-    def induced(t):
-        return tuple(phi[t[classes[c]]] for c in range(len(classes)))
-
-    check_morphism(sg, morphism, induced, gens)
+    phi, image = factor_of(gens, pair)
+    check_morphism(sg, factor_epimorphism(sg, phi), image, gens)
 
 
-def test_classify_and_koehler_never_build_the_dense_table(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense Cayley table requested")
+@settings(max_examples=200, deadline=None)
+@given(generator_sets(), st.data())
+def test_generator_check_raises_exactly_when_a_pair_fails(gens, data):
+    """The element-by-generator check against the all-pairs table check.
 
-    monkeypatch.setattr(TransSemigroup, "cayley", property(refuse))
-    methods = set()
-    for seed in range(40):
-        sys_ = random_system(3 + seed % 3, 1 + seed % 3, commuting=seed % 4 == 0, seed=seed)
-        methods.add(classify(sys_).zero.method)
-        koehler(sys_)
-    assert {"linear_feasibility", "cesaro_product"} <= methods
+    True restriction and factor images pass both; a single corrupted
+    entry must make the morphism check raise exactly when some pair
+    s, t has phi(s o t) != phi(s) o phi(t).
+    """
+    sg = small_closure(gens)
+    x, y = (data.draw(st.integers(0, sg.degree - 1)) for _ in range(2))
+    if data.draw(st.booleans()):
+        image = restriction_of(gens, x)[1]
+    else:
+        image = factor_of(gens, (x, y))[1]
+    images = np.array([image(e.images) for e in sg.elements])
+    width = images.shape[1]
+    if width > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, sg.size - 1))
+        col = data.draw(st.integers(0, width - 1))
+        value = data.draw(st.integers(0, width - 2))
+        images[i, col] = value + (value >= images[i, col])
+    if multiplicative_on_all_pairs(sg, images):
+        morphism = _image_morphism(sg, images)
+        assert morphism.checked_identities == sg.size * len(sg.generator_indices)
+        assert np.array_equal(morphism.target.images[list(morphism.element_map)], images)
+    else:
+        with pytest.raises(AssertionError, match="multiplicativity"):
+            _image_morphism(sg, images)
+
+
+def test_morphisms_store_no_table():
+    # A 3,374-element closure: one m x m int32 table is 45 MB, and the
+    # all-pairs check built one for the source and one for the target.
+    sg = generate_closure(random_system(8, 3, seed=0).generator_maps)
+    assert sg.size == 3374
+    tracemalloc.start()
+    try:
+        restriction = restriction_epimorphism(sg, range(8))
+        factor = factor_epimorphism(sg, range(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert restriction.target.size == factor.target.size == 3374
+    assert peak < 16 * 2**20

@@ -35,10 +35,10 @@ from ergoscope.transforms import (
     generate_closure,
     kernel,
     left_zeros,
-    principal_ideal,
     right_zeros,
     zero,
 )
+from oracles import principal_ideal
 
 MAX_ELEMENTS = 150
 
