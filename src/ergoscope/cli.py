@@ -203,8 +203,8 @@ def cmd_classify(args) -> int:
     return EXIT_UNDETERMINED if Verdict.UNDETERMINED in verdicts else EXIT_OK
 
 
-def _element_as_label_map(sys_: FiniteSystem, t) -> dict:
-    return {sys_.states[x]: sys_.states[t(x)] for x in range(sys_.n)}
+def _element_as_label_map(sys_: FiniteSystem, images) -> dict:
+    return {sys_.states[x]: sys_.states[y] for x, y in enumerate(images)}
 
 
 def cmd_ellis(args) -> int:
@@ -212,7 +212,7 @@ def cmd_ellis(args) -> int:
     sg = ellis(sys_, args.budget)
     payload = {
         "size": sg.size,
-        "elements": [_element_as_label_map(sys_, t) for t in sg.elements],
+        "elements": [_element_as_label_map(sys_, row) for row in sg.images.tolist()],
         "generator_indices": list(sg.generator_indices),
     }
     _emit(_json_text(payload), args.json_out)
@@ -226,7 +226,7 @@ def cmd_kernel(args) -> int:
     payload = {
         "size": sg.size,
         "kernel_indices": ker,
-        "kernel_elements": [_element_as_label_map(sys_, sg.elements[i]) for i in ker],
+        "kernel_elements": [_element_as_label_map(sys_, row) for row in sg.images[ker].tolist()],
     }
     _emit(_json_text(payload), args.json_out)
     return EXIT_OK

@@ -27,6 +27,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import rational
 from .nets import first_repeat, folner_net
@@ -75,32 +76,37 @@ def ellis(sys: FiniteSystem, max_elements: int | None = None) -> TransSemigroup:
 
 @dataclass(frozen=True, eq=False)
 class MatrixSemigroup:
-    """A multiplication-closed list of exact matrices.
+    """Pushforward matrices of a transformation semigroup, held as that semigroup.
 
-    When the elements are pushforwards of deterministic maps, ``bridge``
-    holds the transformation semigroup with the same element order:
-    pushforward(s o t) = pushforward(s) @ pushforward(t), so the bridge's
-    generator graphs index the matrix products too.
+    ``bridge`` is the representation: pushforward(s o t) =
+    pushforward(s) @ pushforward(t), so element i is the pushforward of
+    the bridge's element i and its generator graphs index the matrix
+    products too.  ``elements`` builds the exact matrices on first use.
     """
 
-    elements: tuple[OperatorMatrix, ...]
-    bridge: TransSemigroup | None = None
+    bridge: TransSemigroup
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.bridge.size
+
+    @cached_property
+    def elements(self) -> tuple[OperatorMatrix, ...]:
+        return tuple(adjoint_matrix(t) for t in self.bridge.elements)
 
 
 def koehler(sys: FiniteSystem, max_elements: int | None = None) -> MatrixSemigroup:
-    """Pushforward matrices of every Ellis element, bridge verified."""
+    """The pushforwards of the Ellis elements, bridge verified: A_s A_g =
+    A_{s o g} exactly for every generator g and every element s, or every
+    generator s beyond 64 elements.  Only the matrices compared are built."""
     sg = ellis(sys, max_elements)
-    mats = tuple(adjoint_matrix(t) for t in sg.elements)
+    mat = lambda i: adjoint_matrix(Transformation(tuple(sg.images[i].tolist())))
     check = range(sg.size) if sg.size <= 64 else sg.generator_indices
     for i in check:
         for k, j in enumerate(sg.generator_indices):
-            if mats[i] @ mats[j] != mats[sg.right[i, k]]:
+            if mat(i) @ mat(j) != mat(sg.right[i, k]):
                 raise AssertionError("pushforward bridge is not multiplicative")
-    return MatrixSemigroup(mats, bridge=sg)
+    return MatrixSemigroup(sg)
 
 
 def power_periodicity(t: Transformation) -> tuple[int, int, list[Transformation]]:
@@ -151,19 +157,17 @@ def _absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:
     return all(tuple(s) == row for s, row in zip(sums, rows))
 
 
-def _certify(weights: dict[tuple[int, ...], Fraction],
-             sys: FiniteSystem) -> ZeroCertificate | None:
+def _certify(weights: dict[tuple[int, ...], Fraction], sys: FiniteSystem) -> ZeroCertificate:
     """Q = the convex combination of the weighted image tuples' pushforwards,
-    certified by exact zero identities against every generator, or None."""
-    total = sum(weights.values())
-    if total != 1 or any(w < 0 for w in weights.values()):
-        return None
+    certified by exact zero identities against every generator; raises
+    AssertionError naming the first generator that Q does not absorb."""
+    assert sum(weights.values()) == 1 and min(weights.values()) >= 0, "weights not convex"
     witness = tuple((Transformation(images), w) for images, w in sorted(weights.items()))
     q = pushforward(witness)
     checks = []
     for name, g in sys.generators:
         if not _absorbs(q, g.images):
-            return None
+            raise AssertionError(f"Q is not a zero: generator {name!r} fails A Q = Q A = Q")
         checks.append(f"A[{name}] Q = Q A[{name}] = Q")
     checks.append("Q is a convex combination of semigroup pushforwards")
     return ZeroCertificate(q, witness, tuple(checks))
@@ -181,10 +185,7 @@ def _zero_by_cesaro_product(sys: FiniteSystem) -> ZeroCertificate:
                 key = tuple(s[y] for y in p.images)
                 product[key] = product.get(key, 0) + w / period
         weights = product
-    cert = _certify(weights, sys)
-    if cert is None:
-        raise AssertionError("Cesàro product failed on commuting generators")
-    return cert
+    return _certify(weights, sys)
 
 
 def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertificate | None:
@@ -215,11 +216,7 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     solution = rational.lp_feasible_point(rows, rhs)
     if solution is None:
         return None
-    weights = {tuple(e): w for e, w in zip(own, solution) if w > 0}
-    cert = _certify(weights, sys)
-    if cert is None:
-        raise AssertionError("feasible point failed exact verification")
-    return cert
+    return _certify({tuple(e): w for e, w in zip(own, solution) if w > 0}, sys)
 
 
 def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
@@ -318,9 +315,7 @@ def jacobs(sys: FiniteSystem, mu: Measure,
         if pushed != mu:
             raise ValueError(f"measure is not invariant under generator {name!r}")
     restriction = restriction_epimorphism(ellis(sys, max_elements), mu.support)
-    bridge = restriction.target
-    mats = tuple(adjoint_matrix(t) for t in bridge.elements)
-    return JacobsResult(MatrixSemigroup(mats, bridge), restriction.element_map,
+    return JacobsResult(MatrixSemigroup(restriction.target), restriction.element_map,
                         restriction.checked_identities)
 
 

@@ -193,6 +193,7 @@ def interleave(a: NetSample, b: NetSample) -> NetSample:
 
 @dataclass(frozen=True)
 class DefectRecord:
+    step: int
     descriptor: str
     generator: str
     side: str
@@ -206,15 +207,10 @@ class NetVerdict:
     trace: tuple[DefectRecord, ...]
 
     def worst_by_step(self) -> list[Fraction]:
-        worst: dict[str, Fraction] = {}
-        order = []
+        worst: dict[int, Fraction] = {}
         for rec in self.trace:
-            if rec.descriptor not in worst:
-                order.append(rec.descriptor)
-                worst[rec.descriptor] = rec.defect
-            else:
-                worst[rec.descriptor] = max(worst[rec.descriptor], rec.defect)
-        return [worst[d] for d in order]
+            worst[rec.step] = max(worst.get(rec.step, rec.defect), rec.defect)
+        return list(worst.values())
 
 
 def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> NetVerdict:
@@ -233,11 +229,11 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
     named = [(f"g{i}", OperatorMatrix.identity(g.n) - g) for i, g in enumerate(generators)]
     sides = ("left", "right") if side == "two_sided" else (side,)
     trace = []
-    for step in net.steps:
+    for i, step in enumerate(net.steps):
         for gname, d in named:
             for s in sides:
                 defect = d @ step.matrix if s == "left" else step.matrix @ d
-                trace.append(DefectRecord(step.descriptor, gname, s, max_abs(defect.rows)))
+                trace.append(DefectRecord(i, step.descriptor, gname, s, max_abs(defect.rows)))
     verdict = NetVerdict("undetermined", side, tuple(trace))
     worst_by_step = verdict.worst_by_step()
     if len(worst_by_step) < window:

@@ -77,21 +77,15 @@ class Transformation:
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """One exact key per row: its base-n digits, most significant first.
+    """One exact key per row: the row's own bytes.
 
-    Each int64 column holds as many digits as fit below 2^63 (one column
-    for n <= 15).  Stored big-endian and viewed as one byte string per
-    row, the keys compare as the rows do lexicographically.
+    Entries are cast to the smallest unsigned big-endian type that holds
+    n - 1, so the keys, viewed as one byte string per row, compare as the
+    rows do lexicographically.
     """
     n = rows.shape[1]
-    base = max(n, 2)
-    width = 1
-    while width < n and base ** (width + 1) <= 1 << 63:
-        width += 1
-    padded = np.zeros((len(rows), -(-n // width), width), dtype=np.int64)
-    padded.reshape(len(rows), -1)[:, :n] = rows
-    packed = (padded @ base ** np.arange(width - 1, -1, -1)).astype(">i8")
-    return packed.view(np.dtype((np.void, packed.shape[1] * 8))).ravel()
+    rows = np.ascontiguousarray(rows, np.min_scalar_type(max(n - 1, 0)).newbyteorder(">"))
+    return rows.view(np.dtype((np.void, n * rows.itemsize))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,12 +292,12 @@ def _image_morphism(sg: TransSemigroup, images: np.ndarray) -> SemigroupMorphism
 def restriction_epimorphism(sg: TransSemigroup, subset) -> SemigroupMorphism:
     """Restrict every element to an invariant subset of states.
 
-    Rejects states outside ``range(sg.degree)`` and non-invariant subsets,
-    each with a witness state.
+    Rejects states that are not integers in ``range(sg.degree)`` and
+    non-invariant subsets, each with a witness state.
     """
     subset = list(subset)
     for x in subset:
-        if not (isinstance(x, (int, np.integer)) and 0 <= x < sg.degree):
+        if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) and 0 <= x < sg.degree):
             raise ValueError(f"state {x!r} is not in range({sg.degree})")
     states = sorted(set(subset))
     if not states:
@@ -325,6 +319,9 @@ def factor_epimorphism(sg: TransSemigroup, phi) -> SemigroupMorphism:
     phi(x) = phi(y).  Incompatible maps are rejected with a witness pair.
     """
     phi = tuple(phi)
+    for y in phi:
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+            raise ValueError(f"phi entry {y!r} is not an integer")
     if len(phi) != sg.degree:
         raise ValueError("phi must assign a factor state to every state")
     if set(phi) != set(range(max(phi) + 1)):

@@ -4,9 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_PATH = os.path.join(ROOT, "docs", "report.schema.json")

@@ -6,6 +6,7 @@ import pytest
 from ergoscope.envelope import (
     Budget,
     Verdict,
+    _certify,
     classify,
     convex_koehler_zero,
     ellis,
@@ -164,6 +165,17 @@ def test_zero_witness_is_convex_combination():
             term = adjoint_matrix(t).scale(w)
             acc = term if acc is None else acc + term
         assert acc == cert.matrix
+
+
+def test_certify_raises_on_a_matrix_that_is_no_zero():
+    # The identity is a convex combination but absorbs no shift.
+    with pytest.raises(AssertionError, match="generator 'shift'"):
+        _certify({(0, 1, 2): F(1)}, cyclic_shift_system(3))
+    with pytest.raises(AssertionError, match="not convex"):
+        _certify({(0, 1, 2): F(1, 2)}, cyclic_shift_system(3))
+    cert = _certify({(1, 2, 0): F(1, 3), (2, 0, 1): F(1, 3), (0, 1, 2): F(1, 3)},
+                    cyclic_shift_system(3))
+    assert cert.matrix == OperatorMatrix.from_rows([[F(1, 3)] * 3] * 3)
 
 
 def test_commuting_systems_always_have_zero():

@@ -191,6 +191,17 @@ def test_alternating_kernel_net_left_ergodic_not_convergent():
     assert detect_limit(net.matrices(), F(1, 100), window=3) is None
 
 
+def test_verify_net_window_counts_steps_that_share_a_descriptor():
+    # Interleaving a net with itself repeats every descriptor, and each
+    # of the six steps still counts once towards the trailing window.
+    a = adjoint_matrix(Transformation((1, 2, 0)))
+    b = cesaro_net(a, [6, 9, 12])
+    verdict = verify_net(interleave(b, b), [a], "left", F(1, 5), window=4)
+    assert verdict.worst_by_step() == [0] * 6
+    assert verdict.status == "ergodic"
+    assert [r.step for r in verdict.trace] == list(range(6))
+
+
 def test_detect_limit_cases():
     q = OperatorMatrix.from_rows([[F(1, 3)] * 3] * 3)
     assert detect_limit([q, q, q], 0) == q

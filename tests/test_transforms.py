@@ -282,6 +282,23 @@ def test_factor_compatibility_witness():
         factor_epimorphism(sg, (0, 1, 1))
 
 
+@pytest.mark.parametrize("phi, bad", [
+    ((0.0, 1.0, 2.0), 0.0), ((0, 1.0, 2), 1.0), (("0", 1, 2), "0"),
+    ((False, 1, 2), False), ((0, True, 2), True),
+])
+def test_factor_rejects_entries_that_are_not_integers(phi, bad):
+    sg = generate_closure([SHIFT3])
+    with pytest.raises(ValueError, match=f"phi entry {bad!r} is not an integer"):
+        factor_epimorphism(sg, phi)
+
+
+@pytest.mark.parametrize("subset", [[True], [False], [0, True], [np.True_]])
+def test_restriction_rejects_bool_states(subset):
+    sg = generate_closure([Transformation((0, 1, 2))])
+    with pytest.raises(ValueError, match=f"state {subset[-1]!r} is not in range"):
+        restriction_epimorphism(sg, subset)
+
+
 def test_morphisms_on_random_systems():
     rng = random.Random(29)
     for _ in range(25):
