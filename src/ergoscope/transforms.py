@@ -23,8 +23,13 @@ class SizeCapError(RuntimeError):
 
 
 def element_cap() -> int:
+    """The closure cap: ``ERGOSCOPE_MAX_ELEMENTS``, a positive integer, if set."""
     value = os.environ.get(ELEMENT_CAP_ENV)
-    return int(value) if value else DEFAULT_ELEMENT_CAP
+    if not value:
+        return DEFAULT_ELEMENT_CAP
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{ELEMENT_CAP_ENV} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,11 @@ class Transformation:
         n = len(self.images)
         if n == 0:
             raise ValueError("empty state set")
-        if any(not (0 <= y < n) for y in self.images):
-            raise ValueError(f"image out of range for degree {n}: {self.images}")
+        for y in self.images:
+            if type(y) is not int and not isinstance(y, np.integer):  # bool too
+                raise ValueError(f"image {y!r} is not an integer")
+            if not 0 <= y < n:
+                raise ValueError(f"image out of range for degree {n}: {self.images}")
 
     @classmethod
     def identity(cls, n: int) -> "Transformation":
@@ -100,14 +108,12 @@ class TransSemigroup:
     ``right[i, k]`` is the index of ``elements[i] o g_k`` and ``left[i, k]``
     the index of ``g_k o elements[i]``, where ``g_k`` is the element at
     ``generator_indices[k]``.  The two graphs determine the whole
-    multiplication (Froidure & Pin 1997) in O(m * g) space, and they are
-    its only representation: no m x m table is built.
+    multiplication (Froidure & Pin 1997) in O(m * g) space; each is built
+    on its first read, and no m x m table is ever built.
     """
 
     images: np.ndarray
     generator_indices: tuple[int, ...]
-    right: np.ndarray
-    left: np.ndarray
 
     @property
     def size(self) -> int:
@@ -127,10 +133,28 @@ class TransSemigroup:
         ordered = np.sort(self.images, axis=1)
         return 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
 
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return _keys(self.images)
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        return self._graph(lambda g: self.images[:, g])
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        return self._graph(lambda g: g[self.images])
+
+    def _graph(self, product) -> np.ndarray:
+        out = np.stack([np.searchsorted(self.keys, _keys(product(g))).astype(np.int32)
+                        for g in self.images[list(self.generator_indices)]], axis=1)
+        out.setflags(write=False)
+        return out
+
     def index_of(self, t: Transformation) -> int:
         if t.degree != self.degree:
             raise KeyError(t)
-        i = int(np.searchsorted(_keys(self.images), _keys(np.array([t.images])))[0])
+        i = int(np.searchsorted(self.keys, _keys(np.array([t.images])))[0])
         if i == self.size or self.images[i].tolist() != list(t.images):
             raise KeyError(t)
         return i
@@ -142,38 +166,26 @@ def _semigroup(rows: np.ndarray, gen_rows: np.ndarray) -> TransSemigroup:
     images = rows[first].astype(np.int32)
     images.setflags(write=False)
     generator_indices = tuple(np.unique(np.searchsorted(keys, _keys(gen_rows))).tolist())
-
-    def graph(product) -> np.ndarray:
-        out = np.stack([np.searchsorted(keys, _keys(product(g))).astype(np.int32)
-                        for g in images[list(generator_indices)]], axis=1)
-        out.setflags(write=False)
-        return out
-
-    return TransSemigroup(images, generator_indices, right=graph(lambda g: images[:, g]),
-                          left=graph(lambda g: g[images]))
+    return TransSemigroup(images, generator_indices)
 
 
 def _search(gen_rows: np.ndarray, cap: int) -> np.ndarray:
     """Every row reached from ``gen_rows`` by right generator steps, once each.
 
-    One set holds the key (:func:`_keys`) of every row found; a level of
-    translates keeps the rows whose keys it has not seen.
+    One set holds the key (:func:`_keys`) of every row found; each level
+    reads its unseen keys back as rows, in the set's order.
     """
+    n = gen_rows.shape[1]
     seen: set[bytes] = set()
-
-    def fresh(rows: np.ndarray) -> np.ndarray:
-        keep = []
-        for i, key in enumerate(_keys(rows).tolist()):
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        return rows[keep]
-
-    levels = [fresh(gen_rows)]
-    while len(levels[-1]):
+    rows, levels = gen_rows, []
+    while len(rows):
+        keys = _keys(rows)
+        new = set(keys.tolist()) - seen
+        seen |= new
         if len(seen) > cap:
             raise SizeCapError(f"semigroup closure exceeds element cap {cap}")
-        levels.append(fresh(levels[-1][:, gen_rows].reshape(-1, gen_rows.shape[1])))
+        levels.append(np.frombuffer(b"".join(new), f">u{keys.itemsize // n}").reshape(-1, n))
+        rows = levels[-1][:, gen_rows].reshape(-1, n)
     return np.concatenate(levels)
 
 
@@ -186,8 +198,8 @@ def generate_closure(
     closure since every product of generators is a chain of them:
     ``F[:, g]`` composes a whole frontier ``F`` with a generator ``g``.
     The search (:func:`_search`) keeps one set of the exact keys found so
-    far, as Froidure & Pin (1997) keep one table of the elements; the set
-    is freed before the generator graphs are built.
+    far, as Froidure & Pin (1997) keep one table of the elements.  The
+    generator graphs are not built here: each is built on its first read.
 
     Raises :class:`SizeCapError` exactly when the closure has more
     elements than the cap (``ERGOSCOPE_MAX_ELEMENTS`` overrides the

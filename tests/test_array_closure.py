@@ -68,7 +68,8 @@ def ref_closure(gens, cap):
 
 def ref_kernel(ordered):
     ranks = [len(set(t)) for t in ordered]
-    return frozenset(i for i, r in enumerate(ranks) if r == min(ranks))
+    least = min(ranks)
+    return frozenset(i for i, r in enumerate(ranks) if r == least)
 
 
 def ref_idempotents(ordered):
@@ -220,6 +221,15 @@ def test_closure_matches_where_keys_first_need_two_columns(n, family):
     }[family]
     assert_matches_reference(gens, ref_closure(gens, MAX_ELEMENTS))
     assert _keys(np.array(gens)).dtype.itemsize == n * (1 if n <= 256 else 2)
+
+
+def test_thin_permutation_closure_matches_tuple_closure():
+    # The one_long_permutation family at its longest: 27,720 levels of
+    # one element each, so every level's set difference holds one key.
+    gens = [cycles(40, (5, 7, 8, 9, 11))]
+    ref = ref_closure(gens, 30_000)
+    assert len(ref[0]) == 27_720
+    assert_matches_reference(gens, ref)
 
 
 def assert_same_morphism(morphism, ref, images):

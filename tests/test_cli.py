@@ -85,6 +85,19 @@ def test_classify_oversized_exits_undetermined(tmp_path):
     assert any("size cap" in n for n in report["notes"])
 
 
+@pytest.mark.parametrize("command", ["ellis", "classify"])
+@pytest.mark.parametrize("value", ["-5", "0", "abc", "1.5"])
+def test_invalid_element_cap_is_an_input_error(tmp_path, command, value):
+    # -5 and 0 used to exit 3 as if a real budget ran out; abc and 1.5
+    # exited 1 with a bare int() message.
+    path = write_descriptor(tmp_path, CYCLIC)
+    result = run_cli([command, path], env_extra={"ERGOSCOPE_MAX_ELEMENTS": value})
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(
+        f"input error: ERGOSCOPE_MAX_ELEMENTS must be a positive integer, got {value!r}")
+    assert "Traceback" not in result.stderr
+
+
 def test_classify_budget_zero_caps_the_closure(tmp_path):
     path = write_descriptor(tmp_path, CYCLIC)
     result = run_cli(["classify", path, "--budget", "0"])

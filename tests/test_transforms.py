@@ -43,6 +43,20 @@ def test_power_rejects_negative_exponent():
         Transformation((1, 0)).power(-1)
 
 
+@pytest.mark.parametrize("images, bad", [
+    ((0.0, 1.0), 0.0), ((0, 1.0), 1.0), ((True, False), True), ((0, False), False),
+    ((0, "1"), "1"), ((np.True_, 0), np.True_),
+])
+def test_transformation_rejects_entries_that_are_not_integers(images, bad):
+    with pytest.raises(ValueError, match=f"image {bad!r} is not an integer"):
+        Transformation(images)
+
+
+def test_transformation_accepts_numpy_integers():
+    t = Transformation((np.int64(1), np.int32(0)))
+    assert t.compose(t).is_identity
+
+
 def test_closure_identity():
     sg = generate_closure([Transformation.identity(3)])
     assert sg.size == 1 and sg.elements[0].is_identity
