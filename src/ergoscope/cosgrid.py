@@ -15,11 +15,21 @@ only the weak* limit onto the pi point masses.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .transforms import SizeCapError, element_cap
+
 CLAMP = 1.0 - 1e-12
+# iterate_stepwise: its buffer in float64 entries (1 MiB); the live count
+# below which a block is one accumulate; the steps between bit comparisons,
+# which keep their cost near 1/32 of a step; a compaction's cost in steps.
+STEP_BUFFER = 2**17
+ACCUMULATE_BELOW = 128
+CHECK_STEPS = 32
+COMPACT_COST = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +42,15 @@ class GridModel:
 
 
 def build_grid(multiples_of_pi: int, subdivisions: int) -> GridModel:
-    """Grid over [0, K*pi] with every multiple of pi a grid point."""
+    """Grid over [0, K*pi] with every multiple of pi a grid point.
+
+    Raises :class:`SizeCapError` when the K*m + 1 points exceed the element cap.
+    """
     if multiples_of_pi < 1 or subdivisions < 1:
         raise ValueError("need at least one pi multiple and one subdivision")
     count = multiples_of_pi * subdivisions + 1
+    if count > element_cap():
+        raise SizeCapError(f"grid of {count} points exceeds element cap {element_cap()}")
     idx = np.arange(count)
     points = idx * (np.pi / subdivisions)
     diagonal = np.abs(np.cos(points))
@@ -54,30 +69,91 @@ def uniform_weights(model: GridModel) -> np.ndarray:
 
 
 def dirac_weights(model: GridModel, index: int) -> np.ndarray:
+    _check_int(index, "index", 0, len(model.points))
     w = np.zeros(len(model.points))
     w[index] = 1.0
     return w
 
 
+def _check_int(value, name: str, least: int, below: float = float("inf")) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) in [least, below)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"need an integer {name}, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}")
+    if value >= below:
+        raise ValueError(f"need {name} < {below}")
+
+
+def _check_measure(model: GridModel, mu: np.ndarray) -> None:
+    if np.shape(mu) != model.points.shape:
+        raise ValueError(f"measure of shape {np.shape(mu)} on a grid of {len(model.points)} points")
+
+
 def iterate_adjoint(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     """Entrywise mu_i * d_i^n; mass at pi indices is preserved exactly."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    _check_measure(model, mu)
+    _check_int(n, "n", 0)
     return mu * model.diagonal**n
 
 
 def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
-    """n single steps, asserting bit-exact pi-mass invariance at each; the
-    steps fill a buffer of at most 1 MiB whose pi columns are checked after each fill."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    """n single steps x <- fl(x * d), asserting bit-exact pi-mass invariance at each.
+
+    Fixed points: each entry is its own recurrence, and a multiply is a
+    deterministic function of its operands, so an entry whose step leaves
+    its bits unchanged (with d > 0: +-0, +-inf, NaN, a subnormal that
+    x * d rounds back to x) keeps them at every later step.  Such off-pi
+    entries leave the live set, compared bitwise on the ``uint64`` view
+    of the last two rows a block computed; the pi entries never leave.
+
+    Loop order: the steps run in blocks of rows of one buffer of at most
+    1 MiB; when two grid rows do not fit, one row is stepped in place and
+    nothing leaves, as there are no two rows to compare.  A block over
+    fewer than ``ACCUMULATE_BELOW`` live entries is one
+    ``np.multiply.accumulate`` down the step axis, which rounds strictly
+    in step order, so its bits are those of the step loop that runs a
+    wider block, one ``np.multiply`` per step.  After each block the pi
+    entries of every step are compared with mu.  The bit comparison runs
+    after a block that ends ``CHECK_STEPS`` or more steps past the last
+    one, and it drops the fixed entries when they would take at least
+    ``COMPACT_COST`` times the live count in multiplies over the steps
+    left, about what a compaction costs.
+    """
+    _check_measure(model, mu)
+    _check_int(n, "n", 0)
     out = mu.astype(float)
-    steps = np.empty((max(1, min(n, 2**17 // len(out))), len(out)))
-    for done in range(0, n, len(steps)):
-        for row in steps[:n - done]:
-            out = np.multiply(out, model.diagonal, out=row)
-        assert (steps[:n - done, model.pi_indices] == mu[model.pi_indices]).all()
-    return out.copy()
+    pi_mass = mu[model.pi_indices]
+    live = np.arange(len(out))
+    pi_pos = model.pi_indices
+    diagonal = model.diagonal
+    start = out
+    buf = np.empty(max(len(out), min(STEP_BUFFER, n * len(out))))
+    done = checked = 0
+    while done < n:
+        rows = min(n - done, len(buf) // len(live))
+        block = buf[:rows * len(live)].reshape(rows, len(live))
+        if len(live) < ACCUMULATE_BELOW:
+            np.multiply(start, diagonal, out=block[0])
+            block[1:] = diagonal
+            np.multiply.accumulate(block, out=block)
+        else:
+            for row in block:
+                start = np.multiply(start, diagonal, out=row)
+        assert (block[:, pi_pos] == pi_mass).all()
+        done += rows
+        start = block[-1]
+        if rows > 1 and done < n and done - checked >= CHECK_STEPS:
+            checked = done
+            moved = start.view(np.uint64) != block[-2].view(np.uint64)
+            moved[pi_pos] = True
+            if (len(live) - np.count_nonzero(moved)) * (n - done) >= COMPACT_COST * len(live):
+                out[live] = start
+                live, start, diagonal = live[moved], start[moved], diagonal[moved]
+                pi_pos = live.searchsorted(model.pi_indices)
+    # A slice copies where the full index array would scatter.
+    out[live if len(live) < len(out) else slice(None)] = start
+    return out
 
 
 def pi_projection(model: GridModel, mu: np.ndarray) -> np.ndarray:
@@ -94,8 +170,8 @@ def off_pi_mass(model: GridModel, mu: np.ndarray) -> float:
 
 def cesaro_adjoint(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     """(1/n) sum_{k<n} D^k mu via the closed geometric form per entry."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_measure(model, mu)
+    _check_int(n, "n", 1)
     d = model.diagonal
     off = d != 1.0
     return _geometric_mean(mu, d**n, n, off, 1.0 - d[off])
@@ -134,6 +210,7 @@ def weak_star_limit_check(model: GridModel, mu: np.ndarray, tol: float,
     """
     if not tol >= 0:
         raise ValueError("need tol >= 0")
+    _check_measure(model, mu)
     d = model.diagonal
     off = d != 1.0
     gap = 1.0 - d[off]

@@ -2,7 +2,9 @@
 
 ``solve`` is exact.  The cosgrid references are the earlier floating-point
 routines, kept verbatim so that the faster ones can be required to give
-the same bytes.  ``cayley_table`` composes image rows, independently of
+the same bytes, except that the stepwise one calls ``np.multiply`` by
+name, the same multiply as its earlier ``*=``, so that a test can
+substitute a faulty one.  ``cayley_table`` composes image rows, independently of
 the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
 elements against it pair by pair.
 """
@@ -79,7 +81,7 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     pi_mass = mu[model.pi_indices].copy()
     out = mu.astype(float).copy()
     for _ in range(n):
-        out *= model.diagonal
+        np.multiply(out, model.diagonal, out=out)
         assert np.array_equal(out[model.pi_indices], pi_mass)
     return out
 

@@ -236,6 +236,16 @@ def test_classify_grid_descriptor(tmp_path):
     assert report["converged"] is True
 
 
+def test_classify_oversized_grid_exits_undetermined(tmp_path):
+    # 2 * 10**12 + 1 points used to fail in numpy with _ArrayMemoryError.
+    path = write_descriptor(tmp_path, {"grid": {"subdivisions": 10**12}})
+    result = run_cli(["classify", path])
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith(
+        "undetermined: grid of 2000000000001 points exceeds element cap 1000000")
+    assert "Traceback" not in result.stderr
+
+
 def test_reproduce_rolandex_small(tmp_path):
     from ergoscope.subshift import block_boundary
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -21,6 +22,7 @@ from ergoscope.cosgrid import (
     uniform_weights,
     weak_star_limit_check,
 )
+from ergoscope.transforms import SizeCapError
 
 
 def test_grid_structure():
@@ -131,23 +133,33 @@ def test_trace_rows():
 @st.composite
 def grid_measures(draw):
     """A grid with K 1-3 and 1-2,000 subdivisions, and a uniform, Dirac
-    (on or off pi), random signed or zero measure on it."""
+    (on or off pi), random signed, zero or special measure on it; the
+    special one puts NaN, +-inf, +0.0 and -0.0 on random off-pi entries.
+    Some grids have negative off-pi diagonal entries, where 0.0 * d = -0.0,
+    so that value and bit equality differ."""
     model = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 2000)))
     size = len(model.points)
-    kind = draw(st.sampled_from(["uniform", "dirac_pi", "dirac_off", "signed", "zero"]))
+    # With one subdivision every point is a multiple of pi.
+    off = [i for i in range(1, size - 1) if model.diagonal[i] != 1.0] or [0]
+    kind = draw(st.sampled_from(["uniform", "dirac_pi", "dirac_off", "signed", "zero", "special"]))
     if kind == "uniform":
         mu = uniform_weights(model)
     elif kind == "dirac_pi":
         mu = dirac_weights(model, int(draw(st.sampled_from(list(model.pi_indices)))))
     elif kind == "dirac_off":
-        # With one subdivision every point is a multiple of pi.
-        off = [i for i in range(1, size - 1) if model.diagonal[i] != 1.0] or [0]
         mu = dirac_weights(model, draw(st.sampled_from(off)))
-    elif kind == "signed":
+    elif kind in ("signed", "special"):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         mu = rng.standard_normal(size) * draw(st.sampled_from([1.0, 1e-300, 1e-310]))
+        if kind == "special" and off != [0]:
+            specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+            mu[off] = np.where(rng.random(len(off)) < 0.5, rng.choice(specials, len(off)), mu[off])
     else:
         mu = np.zeros(size)
+    if draw(st.booleans()) and off != [0]:
+        diagonal = model.diagonal.copy()
+        diagonal[draw(st.lists(st.sampled_from(off), min_size=1, max_size=50))] *= -1
+        model = dataclasses.replace(model, diagonal=diagonal)
     return model, mu
 
 
@@ -162,21 +174,38 @@ TOLS = [0.0] + [10.0**-k for k in range(3, 16)]
 @example((build_grid(1, 7), dirac_weights(build_grid(1, 7), 3)), 0.0, 10**14)
 def test_weak_star_check_matches_reference(model_mu, tol, max_n):
     model, mu = model_mu
-    new = weak_star_limit_check(model, mu, tol, max_n)
-    ref = oracles.weak_star_limit_check(model, mu, tol, max_n)
+    # inf * 0 and inf - inf are NaN in both, as they should be.
+    with np.errstate(invalid="ignore"):
+        new = weak_star_limit_check(model, mu, tol, max_n)
+        ref = oracles.weak_star_limit_check(model, mu, tol, max_n)
     for field in dataclasses.fields(ref):
         assert repr(getattr(new, field.name)) == repr(getattr(ref, field.name))
+
+
+def negated_off_pi(model):
+    """``model`` with every off-pi diagonal entry negated."""
+    return dataclasses.replace(model, diagonal=np.where(model.diagonal < 1, -model.diagonal, 1.0))
 
 
 @settings(max_examples=15, deadline=None)
 @given(grid_measures())
 @example((build_grid(1, 1), np.array([0.5, -2.0**-1074])))
+# Zeros that change sign at every step: equal in value, never in bits.
+@example((negated_off_pi(build_grid(2, 100)), np.zeros(201)))
+@example((build_grid(2, 100), uniform_weights(build_grid(2, 100))))
+@example((build_grid(2, 100), dirac_weights(build_grid(2, 100), 37)))
 def test_stepwise_matches_reference_across_blocks(model_mu):
     model, mu = model_mu
     block = max(1, 2**17 // len(mu))
-    for n in (0, 1, block - 1, block, block + 1, 3 * block + 7):
-        new = iterate_stepwise(model, mu, n)
-        assert new.tobytes() == oracles.iterate_stepwise(model, mu, n).tobytes()
+    # At block + 5 steps no fixed entry has left the live set, and at
+    # block + 40 they have.  On the Dirac example that takes the live count
+    # below ACCUMULATE_BELOW at once; on the uniform one, by 3 * block.
+    # The reference runs on from one count to the next, as a step reads
+    # only the values of the step before.
+    ref, done = mu, 0
+    for n in sorted((0, 1, block - 1, block, block + 1, block + 5, block + 40, 3 * block + 7)):
+        ref, done = oracles.iterate_stepwise(model, ref, n - done), n
+        assert iterate_stepwise(model, mu, n).tobytes() == ref.tobytes()
 
 
 def test_negative_arguments_raise():
@@ -196,35 +225,85 @@ def off_by_one_ulp(model):
     return dataclasses.replace(model, diagonal=diagonal)
 
 
-def faulty_from_step(model, step):
-    """``model`` whose diagonal reads as ``off_by_one_ulp``'s from the
-    ``step``-th multiplication by it on, so the first wrong pi mass
-    appears at that step: with a fixed diagonal it always appears at step 1."""
-    good, bad = model.diagonal, off_by_one_ulp(model).diagonal
-    calls = []
+class LateFault:
+    """``np.multiply`` whose factors of exactly 1.0, the pi entries of the
+    diagonal, multiply as ``off_by_one_ulp``'s from the ``step``-th step
+    on.  A call is one step, its second operand the factors, and so is
+    each row after the first of an accumulate, so the first wrong pi mass
+    appears at that step however the steps are batched: with a fixed
+    diagonal it always appears at step 1."""
 
-    class LateFault(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            calls.append(ufunc)
-            use = bad if len(calls) >= step else good
-            inputs = tuple(use if x is self else x for x in inputs)
-            return getattr(ufunc, method)(*inputs, **kwargs)
+    multiply = np.multiply
 
-    return dataclasses.replace(model, diagonal=good.view(LateFault))
+    def __init__(self, step):
+        self.step = step
+        self.done = 0
+
+    def _factors(self, factors):
+        factors = np.array(factors, ndmin=2)
+        late = factors[max(0, self.step - 1 - self.done):]
+        late[late == 1.0] = 1 - 2**-53
+        self.done += len(factors)
+        return factors
+
+    def __call__(self, values, factors, out=None):
+        return self.multiply(values, self._factors(factors)[0], out=out)
+
+    def accumulate(self, rows, axis=0, out=None):
+        assert axis == 0
+        rows = np.concatenate([rows[:1], self._factors(rows[1:])])
+        return self.multiply.accumulate(rows, out=out)
 
 
 @pytest.mark.parametrize("stepwise", [iterate_stepwise, oracles.iterate_stepwise],
                          ids=["blocked", "reference"])
-def test_stepwise_catches_a_wrong_pi_entry(stepwise):
+def test_stepwise_catches_a_wrong_pi_entry(stepwise, monkeypatch):
     model = build_grid(2, 100)
     mu = uniform_weights(model)
     with pytest.raises(AssertionError):
         stepwise(off_by_one_ulp(model), mu, 1)
+
+    def late_fault(step, n):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "multiply", LateFault(step))
+            stepwise(model, mu, n)
+
     block = 2**17 // len(mu)
     # The first block is full and right; the fault is in the partial last one.
-    stepwise(faulty_from_step(model, block + 3), mu, block + 2)
+    late_fault(block + 3, block + 2)
     with pytest.raises(AssertionError):
-        stepwise(faulty_from_step(model, block + 3), mu, block + 5)
+        late_fault(block + 3, block + 5)
+    # By 4 * block the fixed entries have left the live set, and fewer than
+    # ACCUMULATE_BELOW are live; the pi entries must still be stepped and checked.
+    late_fault(4 * block + 3, 4 * block + 2)
+    with pytest.raises(AssertionError):
+        late_fault(4 * block + 3, 4 * block + 5)
+
+
+def test_inputs_are_checked(monkeypatch):
+    model = build_grid(2, 10)
+    mu = uniform_weights(model)
+    for call in (lambda: iterate_stepwise(model, mu[:5], 0),
+                 lambda: iterate_adjoint(model, mu[:5], 1),
+                 lambda: cesaro_adjoint(model, np.ones((21, 1)), 1),
+                 lambda: weak_star_limit_check(model, mu[:5], 1e-6)):
+        with pytest.raises(ValueError, match="measure of shape"):
+            call()
+    for n in (2.5, True, np.float64(2.0), "2"):
+        for call in (iterate_adjoint, cesaro_adjoint, iterate_stepwise):
+            with pytest.raises(ValueError, match="need an integer n"):
+                call(model, mu, n)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        cesaro_adjoint(model, mu, 0)
+    assert np.array_equal(iterate_adjoint(model, mu, np.int64(3)), iterate_adjoint(model, mu, 3))
+    for index in (-1, 21, 1.0, True):
+        with pytest.raises(ValueError, match="index"):
+            dirac_weights(model, index)
+    assert dirac_weights(model, 20)[20] == 1.0
+    monkeypatch.setenv("ERGOSCOPE_MAX_ELEMENTS", "21")
+    assert len(build_grid(2, 10).points) == 21
+    with pytest.raises(SizeCapError, match="grid of 22 points exceeds element cap 21"):
+        build_grid(1, 21)
 
 
 # Recorded from the routines before the underflow skip and the blocked check.
@@ -253,8 +332,15 @@ BENCHMARK_REPORTS = {
 
 def test_golden_stepwise_bytes_and_benchmark_reports():
     model = build_grid(2, 100)
-    final = iterate_stepwise(model, uniform_weights(model), 10**5)
+    tracemalloc.start()
+    try:
+        final = iterate_stepwise(model, uniform_weights(model), 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert hashlib.sha256(final.tobytes()).hexdigest() == STEPWISE_SHA256
+    # One buffer of at most 1 MiB and its pi check; 1.03 MiB before the live set.
+    assert peak <= 1.25 * 2**20
     for (subdivisions, tol), expected in BENCHMARK_REPORTS.items():
         model = build_grid(2, subdivisions)
         assert repr(weak_star_limit_check(model, uniform_weights(model), tol)) == repr(expected)
