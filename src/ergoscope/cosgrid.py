@@ -15,12 +15,11 @@ only the weak* limit onto the pi point masses.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import SizeCapError, element_cap
+from .transforms import SizeCapError, check_int, element_cap
 
 CLAMP = 1.0 - 1e-12
 # iterate_stepwise: its buffer in float64 entries (1 MiB); the live count
@@ -69,20 +68,10 @@ def uniform_weights(model: GridModel) -> np.ndarray:
 
 
 def dirac_weights(model: GridModel, index: int) -> np.ndarray:
-    _check_int(index, "index", 0, len(model.points))
+    check_int(index, "index", 0, len(model.points))
     w = np.zeros(len(model.points))
     w[index] = 1.0
     return w
-
-
-def _check_int(value, name: str, least: int, below: float = float("inf")) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) in [least, below)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"need an integer {name}, got {value!r}")
-    if value < least:
-        raise ValueError(f"need {name} >= {least}")
-    if value >= below:
-        raise ValueError(f"need {name} < {below}")
 
 
 def _check_measure(model: GridModel, mu: np.ndarray) -> None:
@@ -93,7 +82,7 @@ def _check_measure(model: GridModel, mu: np.ndarray) -> None:
 def iterate_adjoint(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     """Entrywise mu_i * d_i^n; mass at pi indices is preserved exactly."""
     _check_measure(model, mu)
-    _check_int(n, "n", 0)
+    check_int(n, "n", 0)
     return mu * model.diagonal**n
 
 
@@ -121,7 +110,7 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     left, about what a compaction costs.
     """
     _check_measure(model, mu)
-    _check_int(n, "n", 0)
+    check_int(n, "n", 0)
     out = mu.astype(float)
     pi_mass = mu[model.pi_indices]
     live = np.arange(len(out))
@@ -171,7 +160,7 @@ def off_pi_mass(model: GridModel, mu: np.ndarray) -> float:
 def cesaro_adjoint(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     """(1/n) sum_{k<n} D^k mu via the closed geometric form per entry."""
     _check_measure(model, mu)
-    _check_int(n, "n", 1)
+    check_int(n, "n", 1)
     d = model.diagonal
     off = d != 1.0
     return _geometric_mean(mu, d**n, n, off, 1.0 - d[off])

@@ -1,10 +1,17 @@
 """Truncated binary subshifts scanned through run-length encoding.
 
 Long words are kept as (bit, length) runs: the built-in block word has
-runs of 10^N zeros, so factor scanning must never materialize symbols.
+runs of 10^N zeros, so factor scanning must never materialize the word.
 Every length-W factor of a word either sits inside one run (a constant
-window) or starts within W-1 positions of a run boundary, so the scan
-cost is O(runs * W^2) regardless of word length.
+window) or starts within W-1 positions of a run boundary.  The scan
+merges those starts into maximal intervals and copies each interval's
+symbols once, as a bytes string with one 0/1 byte per symbol; every
+window is then a slice of it.  So the scan takes O(runs * W) Python-level
+steps however long the runs are, and its O(runs * W^2) symbol copies and
+hashes run in C.  A bytes window caches its hash, so each later set or
+dict lookup of it costs O(1) rather than W symbols.  Bytes order equals
+0/1-tuple order, so results convert to tuples only where they are
+reported, in the same order.
 """
 
 from __future__ import annotations
@@ -16,11 +23,12 @@ from functools import cached_property
 from itertools import accumulate
 
 from .systems import FiniteSystem
-from .transforms import Transformation
+from .transforms import Transformation, check_int
 
 MAX_PREFIX_LENGTH = 10**8
 
 Window = tuple[int, ...]
+_SYMBOL = (b"\x00", b"\x01")
 
 
 @dataclass(frozen=True)
@@ -34,8 +42,8 @@ class BinaryWord:
         if not self.runs:
             raise ValueError("empty word")
         for bit, length in self.runs:
-            if bit not in (0, 1) or length < 1:
-                raise ValueError(f"bad run {(bit, length)}")
+            check_int(bit, "bit", 0, 2)
+            check_int(length, "run length", 1)
         for (a, _), (b, _) in zip(self.runs, self.runs[1:]):
             if a == b:
                 raise ValueError("runs must alternate")
@@ -69,24 +77,32 @@ class BinaryWord:
             raise IndexError(i)
         return self.runs[bisect_right(self.starts, i) - 1][0]
 
-    def factor(self, start: int, length: int) -> Window:
-        """The factor word[start : start+length], materialized."""
-        if start < 0 or start + length > self.length:
+    def segment(self, start: int, length: int) -> bytes:
+        """word[start : start+length] with one 0/1 byte per symbol.
+
+        The one materializer: each run it touches is copied once, so it
+        costs the length plus the runs crossed.
+        """
+        check_int(length, "length", 0)
+        end = start + length
+        if start < 0 or end > self.length:
             raise IndexError((start, length))
         starts = self.starts
-        out = []
-        i = start
-        k = bisect_right(starts, i) - 1
-        while len(out) < length:
-            take = min(starts[k + 1] - i, length - len(out))
-            out.extend([self.runs[k][0]] * take)
-            i += take
+        k = bisect_right(starts, start) - 1
+        parts = []
+        while start < end:
+            stop = min(starts[k + 1], end)
+            parts.append(_SYMBOL[self.runs[k][0]] * (stop - start))
+            start = stop
             k += 1
-        return tuple(out)
+        return b"".join(parts)
+
+    def factor(self, start: int, length: int) -> Window:
+        """The factor word[start : start+length] as a 0/1 tuple."""
+        return tuple(self.segment(start, length))
 
     def prefix(self, n: int) -> "BinaryWord":
-        if not (1 <= n <= self.length):
-            raise ValueError(f"prefix length {n} out of range")
+        check_int(n, "prefix length", 1, self.length + 1)
         runs = []
         remaining = n
         for bit, length in self.runs:
@@ -101,16 +117,12 @@ class BinaryWord:
         """Materialize; refuse absurd sizes."""
         if self.length > 10**7:
             raise MemoryError("word too long to materialize")
-        out = []
-        for bit, length in self.runs:
-            out.extend([bit] * length)
-        return out
+        return list(self.segment(0, self.length))
 
 
 def block_boundary(n: int) -> int:
     """Start offset k(N) of the N-th block of ones, in closed form."""
-    if n < 1:
-        raise ValueError("n >= 1")
+    check_int(n, "n", 1)
     return n * (n - 1) // 2 + 10 * (10 ** (n - 1) - 1) // 9
 
 
@@ -126,8 +138,7 @@ def rolandex_prefix(length: int) -> BinaryWord:
     zero.  The closed-form and summation forms of the block offsets are
     checked against each other for every block the prefix touches.
     """
-    if not (1 <= length <= MAX_PREFIX_LENGTH):
-        raise ValueError(f"prefix length must be in [1, {MAX_PREFIX_LENGTH}]")
+    check_int(length, "prefix length", 1, MAX_PREFIX_LENGTH + 1)
     runs = []
     total = 0
     n = 1
@@ -154,41 +165,62 @@ class WindowSystem:
     successors: dict[Window, frozenset[Window]]
 
 
-def _crossing_positions(word: BinaryWord, width: int, limit: int) -> set[int]:
+def _crossing_segments(word: BinaryWord, width: int, limit: int) -> list[tuple[int, bytes]]:
     """Starts below ``limit`` whose window of that width crosses a run boundary.
 
-    ``limit`` is at most ``word.length - width + 1``, so every such window
-    lies inside the word.
+    The starts come as maximal intervals, each given by its first start
+    and the symbols that every window starting in it covers.  ``limit`` is
+    at most ``word.length - width + 1``, so every such window lies inside
+    the word.
     """
-    positions: set[int] = set()
+    intervals: list[list[int]] = []
     for boundary in word.starts[1:-1]:
-        positions.update(range(max(0, boundary - width + 1), min(boundary, limit)))
-    return positions
+        lo, hi = max(0, boundary - width + 1), min(boundary, limit)
+        if lo >= hi:
+            continue
+        if intervals and lo <= intervals[-1][1]:
+            intervals[-1][1] = hi  # boundaries ascend, so hi never falls
+        else:
+            intervals.append([lo, hi])
+    return [(lo, word.segment(lo, hi - lo + width - 1)) for lo, hi in intervals]
 
 
-def window_closure(word: BinaryWord, window: int) -> WindowSystem:
-    """All length-W factors, with successor edges where determined.
+def _successors(word: BinaryWord, window: int) -> dict[bytes, frozenset[bytes]]:
+    """Every length-W factor as bytes, with the successors it is seen with.
 
     One scan of the (W+1)-factors gives every edge.  Their W-prefixes are
     all the W-factors except the last one, which starts at length - W.
     """
-    if not (1 <= window <= word.length):
-        raise ValueError("window must be between 1 and the word length")
+    check_int(window, "window", 1, word.length + 1)
     width = window + 1
-    limit = word.length - window
-    longer = {word.factor(p, width) for p in _crossing_positions(word, width, limit)}
-    longer.update((bit,) * width for bit, run_len in word.runs if run_len >= width)
-    successors: dict[Window, set[Window]] = {word.factor(limit, window): set()}
+    longer = {_SYMBOL[bit] * width for bit, run_len in word.runs if run_len >= width}
+    for _, symbols in _crossing_segments(word, width, word.length - window):
+        longer.update(symbols[p:p + width] for p in range(len(symbols) - window))
+    successors: dict[bytes, set[bytes]] = {word.segment(word.length - window, window): set()}
     for f in longer:
         successors.setdefault(f[:window], set()).add(f[1:])
-    succ = {w: frozenset(s) for w, s in successors.items()}
-    edges = {w: next(iter(s)) for w, s in succ.items() if len(s) == 1}
-    return WindowSystem(window, frozenset(succ), edges, succ)
+    return {w: frozenset(s) for w, s in successors.items()}
+
+
+def _window_system(window: int, successors: dict) -> WindowSystem:
+    edges = {w: next(iter(s)) for w, s in successors.items() if len(s) == 1}
+    return WindowSystem(window, frozenset(successors), edges, successors)
+
+
+def window_closure(word: BinaryWord, window: int) -> WindowSystem:
+    """All length-W factors as 0/1 tuples, with successor edges where determined.
+
+    A tuple view of the bytes-keyed scan that :func:`classify_subshift`
+    runs; the windows are converted once, after the scan.
+    """
+    return _window_system(window, {
+        tuple(w): frozenset(map(tuple, s)) for w, s in _successors(word, window).items()
+    })
 
 
 def fixed_windows(ws: WindowSystem) -> list[Window]:
     """Constant windows: the W-resolution shadows of shift-fixed points."""
-    return sorted(w for w in ws.windows if len(set(w)) == 1)
+    return sorted(w for w in ws.windows if w == w[:1] * len(w))
 
 
 def _unique_successor_cycles(ws: WindowSystem) -> list[frozenset[Window]]:
@@ -231,14 +263,15 @@ def classify_subshift(word: BinaryWord, window: int) -> SubshiftReport:
     closure refute weak* mean ergodicity at this resolution; one
     candidate certifies nothing, so the verdict is never an absolute
     claim about the infinite system.
+
+    The windows stay bytes throughout; only the reported ``fixed`` and
+    ``minimal_candidates`` become tuples, in the same sorted order.
     """
-    ws = window_closure(word, window)
-    fixed = tuple(fixed_windows(ws))
-    candidates = list(_unique_successor_cycles(ws))
+    ws = _window_system(window, _successors(word, window))
+    fixed = fixed_windows(ws)
+    candidates = _unique_successor_cycles(ws)
     cycled = {w for c in candidates for w in c}
-    for w in fixed:
-        if w not in cycled:
-            candidates.append(frozenset((w,)))
+    candidates += [frozenset((w,)) for w in fixed if w not in cycled]
     flat = [w for c in candidates for w in c]
     assert len(flat) == len(set(flat)), "candidates must be disjoint"
     if len(candidates) >= 2:
@@ -257,7 +290,8 @@ def classify_subshift(word: BinaryWord, window: int) -> SubshiftReport:
     else:
         verdict = "undetermined"
         note = f"no candidate resolved at W={window}: resolution too coarse"
-    return SubshiftReport(window, word.length, fixed, tuple(candidates),
+    return SubshiftReport(window, word.length, tuple(map(tuple, fixed)),
+                          tuple(frozenset(map(tuple, c)) for c in candidates),
                           verdict, note)
 
 
@@ -273,6 +307,8 @@ class CylinderFunction:
             raise ValueError("need one value per length-depth 0/1 word")
 
     def __call__(self, window: Window) -> Fraction:
+        if len(window) < self.depth:
+            raise ValueError(f"window of length {len(window)} is shorter than depth {self.depth}")
         idx = 0
         for b in window[: self.depth]:
             idx = idx * 2 + b
@@ -295,8 +331,10 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
         raise ValueError("need N >= 1")
     if max(n_list) + depth - 1 > word.length:
         raise ValueError("word too short for the requested trace")
-    crossing = {p: f(word.factor(p, depth))
-                for p in _crossing_positions(word, depth, max(n_list))}
+    crossing = {}
+    for lo, symbols in _crossing_segments(word, depth, max(n_list)):
+        crossing.update((lo + p, f(symbols[p:p + depth]))
+                        for p in range(len(symbols) - depth + 1))
     f_const = {0: f((0,) * depth), 1: f((1,) * depth)}
     starts = word.starts
     by_n = {}

@@ -8,6 +8,7 @@ here transfer verbatim to the operator semigroups in :mod:`envelope`.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,18 @@ def element_cap() -> int:
     if not value.isdecimal() or int(value) < 1:
         raise ValueError(f"{ELEMENT_CAP_ENV} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def check_int(value, name: str, least: int, below: float = float("inf")) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) in [least, below)."""
+    # A plain int skips the abstract-class check, which costs about 0.6 us.
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"need an integer {name}, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}")
+    if value >= below:
+        raise ValueError(f"need {name} < {below}")
 
 
 @dataclass(frozen=True)

@@ -240,3 +240,51 @@ def test_trace_bound_along_block_word():
             ones = sum(range(k))
             assert value <= F(ones + k * depth, block_boundary(k))
         assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("runs", [
+    ((1, 2.5), (0, 1)),
+    ((1, True), (0, 1)),
+    ((True, 2), (0, 1)),
+    ((1.0, 2), (0, 1)),
+], ids=["float-length", "bool-length", "bool-bit", "float-bit"])
+def test_binary_word_rejects_non_integer_runs(runs):
+    with pytest.raises(ValueError):
+        BinaryWord(runs)
+
+
+@pytest.mark.parametrize("method", ["factor", "segment"])
+def test_negative_factor_length_rejected(method):
+    word = BinaryWord.from_string("0101101")
+    with pytest.raises(ValueError, match="length"):
+        getattr(word, method)(2, -3)
+
+
+def test_prefix_rejects_non_integer_length():
+    with pytest.raises(ValueError):
+        BinaryWord.from_string("0001111").prefix(4.5)
+
+
+def test_rolandex_prefix_rejects_non_integer_length():
+    with pytest.raises(ValueError):
+        rolandex_prefix(5.5)
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_block_boundary_rejects_non_integer(n):
+    with pytest.raises(ValueError):
+        block_boundary(n)
+
+
+@pytest.mark.parametrize("scan", [window_closure, classify_subshift])
+@pytest.mark.parametrize("window", [True, 2.0])
+def test_window_must_be_an_integer(scan, window):
+    with pytest.raises(ValueError, match="integer window"):
+        scan(BinaryWord.from_string("0110100"), window)
+
+
+def test_cylinder_function_rejects_short_window():
+    f = CylinderFunction(2, (F(0), F(1), F(2), F(3)))
+    assert f((0, 1)) == 1
+    with pytest.raises(ValueError, match="shorter than depth"):
+        f((1,))

@@ -9,9 +9,11 @@ runs by hand.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoscope import subshift
 from ergoscope.subshift import (
     BinaryWord,
     CylinderFunction,
@@ -250,3 +252,69 @@ def test_run_offsets_match_bits(word):
     assert word.starts == tuple(changes) + (len(bits),)
     assert [word.bit(i) for i in range(len(bits))] == bits
     assert word.factor(0, len(bits)) == tuple(bits)
+
+
+# ---------------------------------------------------------------------------
+# wide windows: long chains of merged crossing intervals
+
+PIPELINE_HORIZONS = (block_boundary(6), block_boundary(8), 10**8)
+wide_lengths = [n for n in boundary_lengths(8) if n >= block_boundary(6) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.sampled_from(wide_lengths), window=st.integers(1, 130))
+def test_wide_windows_match_two_scans(length, window):
+    word = rolandex_prefix(length)
+    report = classify_subshift(word, window)
+    assert (report.fixed, report.minimal_candidates) == old_candidates(word, window)
+    ws = window_closure(word, window)
+    assert (ws.windows, ws.shift_edges, ws.successors) == old_window_closure(word, window)
+
+
+@pytest.mark.parametrize("horizon", PIPELINE_HORIZONS)
+@pytest.mark.parametrize("window", [64, 128])
+def test_pipeline_items_match_two_scans(horizon, window):
+    word = rolandex_prefix(horizon)
+    report = classify_subshift(word, window)
+    assert (report.fixed, report.minimal_candidates) == old_candidates(word, window)
+
+
+@pytest.mark.parametrize("word", [
+    rolandex_prefix(13),
+    rolandex_prefix(block_boundary(3) + 2),
+    BinaryWord.from_string("0110100"),
+    BinaryWord.from_string("1111"),
+], ids=["rolandex-13", "rolandex-k3", "mixed", "one-run"])
+def test_window_as_long_as_the_word(word):
+    window = word.length
+    report = classify_subshift(word, window)
+    assert (report.fixed, report.minimal_candidates) == old_candidates(word, window)
+    ws = window_closure(word, window)
+    assert (ws.windows, ws.shift_edges, ws.successors) == old_window_closure(word, window)
+    assert ws.windows == {word.factor(0, window)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=run_words(), data=st.data())
+def test_segment_matches_bits(word, data):
+    start = data.draw(st.integers(0, word.length))
+    length = data.draw(st.integers(0, word.length - start))
+    bits = [bit for bit, run_len in word.runs for _ in range(run_len)]
+    assert word.segment(start, length) == bytes(bits[start:start + length])
+
+
+def test_classify_subshift_scans_without_tuples(monkeypatch):
+    calls = {"factor": 0, "window_closure": 0}
+    factor, closure = BinaryWord.factor, subshift.window_closure
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(BinaryWord, "factor", counted("factor", factor))
+    monkeypatch.setattr(subshift, "window_closure", counted("window_closure", closure))
+    report = classify_subshift(rolandex_prefix(block_boundary(8)), 7)
+    assert calls == {"factor": 0, "window_closure": 0}
+    assert report.weak_star_mean_ergodic == "false"
