@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .operators import OperatorMatrix, convex_combination
 from .rational import ZERO, max_abs
+from .transforms import check_int
 
 
 def first_repeat(start, step, count: int | None = None) -> tuple[list, int]:
@@ -33,8 +34,7 @@ def first_repeat(start, step, count: int | None = None) -> tuple[list, int]:
 def matrix_powers(m: OperatorMatrix, count: int) -> list[OperatorMatrix]:
     """[I, M, ..., M^(count-1)], empty for count 0.  Each distinct power is computed
     once: from the first repeat M^j = M^i on, each power is the object j - i places back."""
-    if count < 0:
-        raise ValueError("need count >= 0")
+    check_int(count, "count", 0)
     powers, period = first_repeat(OperatorMatrix.identity(m.n), lambda p: p @ m, count)
     while len(powers) < count:
         powers.append(powers[-period])
@@ -133,8 +133,8 @@ def folner_net(generators, ns, label: str = "folner") -> NetSample:
         raise ValueError("need at least one generator")
     if not ns:
         raise ValueError("empty net")
-    if min(ns) < 1:
-        raise ValueError("need N >= 1")
+    for n in ns:
+        check_int(n, "N", 1)
     for i, a in enumerate(generators):
         for b in generators[i + 1:]:
             if a @ b != b @ a:
@@ -163,8 +163,7 @@ def abel_net(m: OperatorMatrix, rs, terms: int = 24, label: str = "abel") -> Net
     The raw Abel sum truncates to total weight below one; renormalizing
     keeps every step an exact convex combination of powers.
     """
-    if terms < 1:
-        raise ValueError("need terms >= 1")
+    check_int(terms, "terms", 1)
     steps = []
     powers = matrix_powers(m, terms)
     for r in rs:

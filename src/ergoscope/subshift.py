@@ -16,11 +16,11 @@ reported, in the same order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .systems import FiniteSystem
 from .transforms import Transformation, check_int
@@ -50,18 +50,11 @@ class BinaryWord:
 
     @classmethod
     def from_bits(cls, bits, origin: str = "user") -> "BinaryWord":
-        runs: list[list[int]] = []
-        for b in bits:
-            b = int(b)
-            if runs and runs[-1][0] == b:
-                runs[-1][1] += 1
-            else:
-                runs.append([b, 1])
-        return cls(tuple((b, c) for b, c in runs), origin)
+        return cls(tuple((b, len(list(run))) for b, run in groupby(map(int, bits))), origin)
 
     @classmethod
     def from_string(cls, text: str, origin: str = "user") -> "BinaryWord":
-        return cls.from_bits((int(c) for c in text), origin)
+        return cls.from_bits(text, origin)
 
     @cached_property
     def starts(self) -> tuple[int, ...]:
@@ -73,9 +66,7 @@ class BinaryWord:
         return self.starts[-1]
 
     def bit(self, i: int) -> int:
-        if not (0 <= i < self.length):
-            raise IndexError(i)
-        return self.runs[bisect_right(self.starts, i) - 1][0]
+        return self.segment(i, 1)[0]
 
     def segment(self, start: int, length: int) -> bytes:
         """word[start : start+length] with one 0/1 byte per symbol.
@@ -87,6 +78,7 @@ class BinaryWord:
         end = start + length
         if start < 0 or end > self.length:
             raise IndexError((start, length))
+        check_int(start, "start", 0)  # after the range check: a bad position stays an IndexError
         starts = self.starts
         k = bisect_right(starts, start) - 1
         parts = []
@@ -103,15 +95,9 @@ class BinaryWord:
 
     def prefix(self, n: int) -> "BinaryWord":
         check_int(n, "prefix length", 1, self.length + 1)
-        runs = []
-        remaining = n
-        for bit, length in self.runs:
-            take = min(length, remaining)
-            runs.append((bit, take))
-            remaining -= take
-            if remaining == 0:
-                break
-        return BinaryWord(tuple(runs), self.origin)
+        k = bisect_left(self.starts, n)  # the runs starting before n
+        bit, _ = self.runs[k - 1]
+        return BinaryWord(self.runs[:k - 1] + ((bit, n - self.starts[k - 1]),), self.origin)
 
     def bits(self) -> list[int]:
         """Materialize; refuse absurd sizes."""
@@ -151,18 +137,26 @@ def rolandex_prefix(length: int) -> BinaryWord:
     return BinaryWord(tuple(runs), origin="rolandex").prefix(length)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowSystem:
-    """All length-W factors of a word plus the determined shift edges.
+    """The length-W factors of a word as their observed successor relation.
 
-    ``shift_edges`` maps a window to its successor factor only when every
-    occurrence in the source word agrees on it.
+    ``successors`` maps every length-W factor to the factors seen right
+    after it; only the word's last window may have none.  ``windows`` and
+    ``shift_edges`` are read off it: a window's shift edge is its
+    successor when every occurrence in the source word agrees on it.
     """
 
     window: int
-    windows: frozenset[Window]
-    shift_edges: dict[Window, Window]
     successors: dict[Window, frozenset[Window]]
+
+    @cached_property
+    def windows(self) -> frozenset[Window]:
+        return frozenset(self.successors)
+
+    @cached_property
+    def shift_edges(self) -> dict[Window, Window]:
+        return {w: next(iter(s)) for w, s in self.successors.items() if len(s) == 1}
 
 
 def _crossing_segments(word: BinaryWord, width: int, limit: int) -> list[tuple[int, bytes]]:
@@ -202,18 +196,13 @@ def _successors(word: BinaryWord, window: int) -> dict[bytes, frozenset[bytes]]:
     return {w: frozenset(s) for w, s in successors.items()}
 
 
-def _window_system(window: int, successors: dict) -> WindowSystem:
-    edges = {w: next(iter(s)) for w, s in successors.items() if len(s) == 1}
-    return WindowSystem(window, frozenset(successors), edges, successors)
-
-
 def window_closure(word: BinaryWord, window: int) -> WindowSystem:
     """All length-W factors as 0/1 tuples, with successor edges where determined.
 
     A tuple view of the bytes-keyed scan that :func:`classify_subshift`
     runs; the windows are converted once, after the scan.
     """
-    return _window_system(window, {
+    return WindowSystem(window, {
         tuple(w): frozenset(map(tuple, s)) for w, s in _successors(word, window).items()
     })
 
@@ -267,7 +256,7 @@ def classify_subshift(word: BinaryWord, window: int) -> SubshiftReport:
     The windows stay bytes throughout; only the reported ``fixed`` and
     ``minimal_candidates`` become tuples, in the same sorted order.
     """
-    ws = _window_system(window, _successors(word, window))
+    ws = WindowSystem(window, _successors(word, window))
     fixed = fixed_windows(ws)
     candidates = _unique_successor_cycles(ws)
     cycled = {w for c in candidates for w in c}
@@ -327,8 +316,8 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
     depth = f.depth
     if not n_list:
         return []
-    if min(n_list) < 1:
-        raise ValueError("need N >= 1")
+    for n in n_list:
+        check_int(n, "N", 1)
     if max(n_list) + depth - 1 > word.length:
         raise ValueError("word too short for the requested trace")
     crossing = {}
@@ -360,39 +349,22 @@ def windows_system(ws: WindowSystem) -> FiniteSystem:
     """The truncation as a finite system on windows.
 
     The observed successor relation is generally not a function (a long
-    zero run can continue or end), so generators are total selections
-    from the relation; windows with no observed successor fall back to
-    fixing themselves.  The generators are the two extreme selections,
-    resolving every ambiguity toward the smallest (resp. largest)
-    successor; iterating them realizes the constant maps onto the
-    constant windows.
+    zero run can continue or end), so the generators are its two extreme
+    selections: "low" sends each window to its smallest successor and
+    "high" to its largest, and a window with no observed successor fixes
+    itself.  "high" is kept only when it differs from "low", that is,
+    when some window has two successors.  Iterating them realizes the
+    constant maps onto the constant windows.
     """
-    ordered_windows = sorted(ws.windows)
-    labels = tuple("".join(map(str, w)) for w in ordered_windows)
-    order = {w: i for i, w in enumerate(ordered_windows)}
-    ambiguous = [w for w in ordered_windows if len(ws.successors[w]) > 1]
+    ordered = sorted(ws.windows)
+    order = {w: i for i, w in enumerate(ordered)}
 
-    def images_for(selection: dict) -> Transformation:
-        images = []
-        for w in ordered_windows:
-            if w in selection:
-                target = selection[w]
-            elif ws.successors[w]:
-                target = next(iter(ws.successors[w]))
-            else:
-                target = w
-            images.append(order[target])
-        return Transformation(tuple(images))
+    def extreme(pick) -> Transformation:
+        return Transformation(tuple(order[pick(ws.successors[w], default=w)] for w in ordered))
 
-    chosen = [
-        ("low", {w: min(ws.successors[w]) for w in ambiguous}),
-        ("high", {w: max(ws.successors[w]) for w in ambiguous}),
-    ]
-    generators = []
-    seen = set()
-    for name, sel in chosen:
-        t = images_for(sel)
-        if t not in seen:
-            seen.add(t)
-            generators.append((name, t))
+    low, high = extreme(min), extreme(max)
+    generators = [("low", low)]
+    if high != low:
+        generators.append(("high", high))
+    labels = tuple("".join(map(str, w)) for w in ordered)
     return FiniteSystem(labels, tuple(generators), name=f"windows-W{ws.window}")

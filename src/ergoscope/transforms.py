@@ -81,8 +81,7 @@ class Transformation:
         return Transformation(tuple(self.images[y] for y in other.images))
 
     def power(self, k: int) -> "Transformation":
-        if k < 0:
-            raise ValueError("need k >= 0")
+        check_int(k, "k", 0)
         result = Transformation.identity(self.degree)
         for _ in range(k):
             result = self.compose(result)
@@ -225,6 +224,7 @@ def generate_closure(
     if any(g.degree != n for g in gens):
         raise ValueError("generators act on state sets of different sizes")
     cap = element_cap() if max_elements is None else max_elements
+    check_int(cap, "max_elements", 0)
     gen_rows = np.array([g.images for g in gens], dtype=np.int32)
     return _semigroup(_search(gen_rows, cap), gen_rows)
 

@@ -1,6 +1,9 @@
 """Reference implementations shared by the tests; no library code calls them.
 
-``solve`` is exact.  The cosgrid references are the earlier floating-point
+``solve`` is exact.  The subshift references are the earlier run-by-run
+``from_bits`` and ``prefix``, and the earlier window system that stored its
+windows and shift edges beside the successor sets, with the
+``windows_system`` that read them.  The cosgrid references are the earlier floating-point
 routines, kept verbatim so that the faster ones can be required to give
 the same bytes, except that the stepwise one calls ``np.multiply`` by
 name, the same multiply as its earlier ``*=``, so that a test can
@@ -9,11 +12,15 @@ the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
 elements against it pair by pair.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ergoscope.cosgrid import GridLimitReport, GridModel, iterate_adjoint, pi_projection
 from ergoscope.rational import ZERO, rref
-from ergoscope.transforms import TransSemigroup, _keys
+from ergoscope.subshift import BinaryWord, Window
+from ergoscope.systems import FiniteSystem
+from ergoscope.transforms import Transformation, TransSemigroup, _keys
 
 
 def cayley_table(sg: TransSemigroup) -> np.ndarray:
@@ -124,3 +131,76 @@ def weak_star_limit_check(model: GridModel, mu: np.ndarray, tol: float,
         cesaro_distance=cesaro_dist,
         limit_is_probability=bool(abs(float(np.sum(target)) - 1.0) <= tol),
     )
+
+
+def from_bits(bits, origin: str = "user") -> BinaryWord:
+    """BinaryWord.from_bits, extending the last run one symbol at a time."""
+    runs: list[list[int]] = []
+    for b in bits:
+        b = int(b)
+        if runs and runs[-1][0] == b:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    return BinaryWord(tuple((b, c) for b, c in runs), origin)
+
+
+def prefix(word: BinaryWord, n: int) -> BinaryWord:
+    """word.prefix(n), taking whole runs until n symbols are covered."""
+    runs = []
+    remaining = n
+    for bit, length in word.runs:
+        take = min(length, remaining)
+        runs.append((bit, take))
+        remaining -= take
+        if remaining == 0:
+            break
+    return BinaryWord(tuple(runs), word.origin)
+
+
+@dataclass
+class StoredWindowSystem:
+    """A window system storing its windows and shift edges beside the successor sets."""
+
+    window: int
+    windows: frozenset[Window]
+    shift_edges: dict[Window, Window]
+    successors: dict[Window, frozenset[Window]]
+
+
+def window_system(window: int, successors: dict) -> StoredWindowSystem:
+    edges = {w: next(iter(s)) for w, s in successors.items() if len(s) == 1}
+    return StoredWindowSystem(window, frozenset(successors), edges, successors)
+
+
+def windows_system(ws: StoredWindowSystem) -> FiniteSystem:
+    """The two extreme selections from the successor relation, by selection dicts."""
+    ordered_windows = sorted(ws.windows)
+    labels = tuple("".join(map(str, w)) for w in ordered_windows)
+    order = {w: i for i, w in enumerate(ordered_windows)}
+    ambiguous = [w for w in ordered_windows if len(ws.successors[w]) > 1]
+
+    def images_for(selection: dict) -> Transformation:
+        images = []
+        for w in ordered_windows:
+            if w in selection:
+                target = selection[w]
+            elif ws.successors[w]:
+                target = next(iter(ws.successors[w]))
+            else:
+                target = w
+            images.append(order[target])
+        return Transformation(tuple(images))
+
+    chosen = [
+        ("low", {w: min(ws.successors[w]) for w in ambiguous}),
+        ("high", {w: max(ws.successors[w]) for w in ambiguous}),
+    ]
+    generators = []
+    seen = set()
+    for name, sel in chosen:
+        t = images_for(sel)
+        if t not in seen:
+            seen.add(t)
+            generators.append((name, t))
+    return FiniteSystem(labels, tuple(generators), name=f"windows-W{ws.window}")

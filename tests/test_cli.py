@@ -107,6 +107,15 @@ def test_classify_budget_zero_caps_the_closure(tmp_path):
     assert "size cap reached: semigroup closure exceeds element cap 0" in report["notes"]
 
 
+@pytest.mark.parametrize("command", ["ellis", "classify"])
+def test_negative_budget_is_an_input_error(tmp_path, command):
+    # ellis used to exit 3 on a cap no closure can meet; classify exited 0.
+    two_cycle = {"states": ["0", "1"], "generators": [{"name": "swap", "map": {"0": "1", "1": "0"}}]}
+    result = run_cli([command, write_descriptor(tmp_path, two_cycle), "--budget", "-5"])
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("input error: need max_elements >= 0")
+
+
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"states": [,]}')

@@ -115,6 +115,18 @@ def test_matrix_powers_counts():
         matrix_powers(SHIFT3, -2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: matrix_powers(SHIFT3, True),
+    lambda: abel_net(SHIFT3, [F(2)], terms=2.5),
+    lambda: folner_net([SHIFT3], [2.5]),
+    lambda: folner_net([SHIFT3], [True]),
+    lambda: Transformation((1, 0)).power(True),
+], ids=["matrix-powers-bool", "abel-float", "folner-float", "folner-bool", "power-bool"])
+def test_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="need an integer"):
+        call()
+
+
 def test_folner_single_generator_is_cesaro():
     for n in (1, 2, 5):
         assert folner_box([SHIFT3], n) == cesaro(SHIFT3, n)

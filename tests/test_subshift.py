@@ -181,6 +181,13 @@ def test_cesaro_trace_rejects_n_below_one(ns):
         cesaro_trace(word, FIRST_COORDINATE, ns)
 
 
+@pytest.mark.parametrize("ns", [[2.5], [True]], ids=["float", "bool"])
+def test_cesaro_trace_rejects_non_integer_n(ns):
+    word = BinaryWord.from_string("0101101")
+    with pytest.raises(ValueError, match="need an integer N"):
+        cesaro_trace(word, FIRST_COORDINATE, ns)
+
+
 def test_cesaro_trace_alternating_even():
     word = BinaryWord.from_string("01" * 16)
     values = cesaro_trace(word, FIRST_COORDINATE, [2, 8, 32])
@@ -258,6 +265,27 @@ def test_negative_factor_length_rejected(method):
     word = BinaryWord.from_string("0101101")
     with pytest.raises(ValueError, match="length"):
         getattr(word, method)(2, -3)
+
+
+@pytest.mark.parametrize("read", [
+    lambda word: word.bit(2.5),
+    lambda word: word.bit(True),
+    lambda word: word.segment(2.5, 3),
+], ids=["bit-float", "bit-bool", "segment-float"])
+def test_position_must_be_an_integer(read):
+    with pytest.raises(ValueError, match="integer start"):
+        read(BinaryWord.from_string("0101101"))
+
+
+@pytest.mark.parametrize("read", [
+    lambda word: word.bit(-1),
+    lambda word: word.bit(7),
+    lambda word: word.segment(-1, 2),
+    lambda word: word.segment(5, 3),
+], ids=["bit-negative", "bit-past-end", "segment-negative", "segment-past-end"])
+def test_position_out_of_range_is_an_index_error(read):
+    with pytest.raises(IndexError):
+        read(BinaryWord.from_string("0101101"))
 
 
 def test_prefix_rejects_non_integer_length():

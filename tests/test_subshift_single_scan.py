@@ -204,7 +204,7 @@ def test_cycles_single_walk_on_joined_chains():
     # walks meet windows already done from several sides.
     a, b, c, d, e, x, y, z, dead = [(i,) for i in range(9)]
     edges = {x: a, y: x, z: a, a: b, b: c, c: a, d: e, e: d}
-    ws = WindowSystem(1, frozenset(edges) | {dead}, edges, {})
+    ws = WindowSystem(1, {w: frozenset((t,)) for w, t in edges.items()} | {dead: frozenset()})
     assert _unique_successor_cycles(ws) == [frozenset({a, b, c}), frozenset({d, e})]
     assert _unique_successor_cycles(ws) == old_cycles(ws.windows, edges)
 
