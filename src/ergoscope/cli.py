@@ -1,8 +1,10 @@
 """Command-line surface: descriptors in, reports and traces out.
 
-Exit codes: 0 for determinate results, 1 for input errors, 3 when any
-verdict is undetermined (including size-cap aborts), so CI can gate on
-reproduction runs.
+Each ``cmd_*`` returns ``(exit_code, outputs)``, mapping a path (``None``
+for stdout) to its text, and only :func:`main` writes.  Exit codes: 0 for
+determinate results, 1 for input errors (unreadable or unwritable paths
+too), 3 when any verdict is undetermined (including size-cap aborts), so
+CI can gate on reproduction runs.
 """
 
 from __future__ import annotations
@@ -52,23 +54,19 @@ EXIT_UNDETERMINED = 3
 
 
 def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergoscope-")
+    """Write through a temp file beside ``path``; an OSError names ``path``."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".ergoscope-")
         with os.fdopen(fd, "w") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        _atomic_write(path, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _json_text(obj) -> str:
@@ -83,7 +81,7 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -108,8 +106,6 @@ def _load_descriptor(path: str) -> dict:
     try:
         with open(path) as handle:
             return _object(json.load(handle), path)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -174,14 +170,14 @@ def _subshift_fields(report) -> dict:
     }
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[int, dict]:
     doc = _load_descriptor(args.input)
     if "subshift" in doc:
         word, window = _subshift_word(doc["subshift"])
         report = classify_subshift(word, window)
         payload = {"type": "subshift", **_subshift_fields(report)}
-        _emit(_json_text(payload), args.json_out)
-        return EXIT_OK if report.weak_star_mean_ergodic != "undetermined" else EXIT_UNDETERMINED
+        code = EXIT_OK if report.weak_star_mean_ergodic != "undetermined" else EXIT_UNDETERMINED
+        return code, {args.json_out: _json_text(payload)}
     if "grid" in doc:
         spec = _object(doc["grid"], "grid descriptor")
         model = build_grid(_integer(spec, "multiples_of_pi", 2),
@@ -194,20 +190,20 @@ def cmd_classify(args) -> int:
             "n_cesaro": report.n_cesaro,
             "limit_is_probability": report.limit_is_probability,
         }
-        _emit(_json_text(payload), args.json_out)
-        return EXIT_OK if report.converged else EXIT_UNDETERMINED
+        code = EXIT_OK if report.converged else EXIT_UNDETERMINED
+        return code, {args.json_out: _json_text(payload)}
     sys_ = _system_from_descriptor(doc)
     report = classify(sys_, Budget(max_elements=args.budget))
-    _emit(_json_text(report_to_json_dict(report)), args.json_out)
     verdicts = (report.unique_ergodic, report.norm_mean_ergodic, report.weak_star_mean_ergodic)
-    return EXIT_UNDETERMINED if Verdict.UNDETERMINED in verdicts else EXIT_OK
+    code = EXIT_UNDETERMINED if Verdict.UNDETERMINED in verdicts else EXIT_OK
+    return code, {args.json_out: _json_text(report_to_json_dict(report))}
 
 
 def _element_as_label_map(sys_: FiniteSystem, images) -> dict:
     return {sys_.states[x]: sys_.states[y] for x, y in enumerate(images)}
 
 
-def cmd_ellis(args) -> int:
+def cmd_ellis(args) -> tuple[int, dict]:
     sys_ = _system_from_descriptor(_load_descriptor(args.input))
     sg = ellis(sys_, args.budget)
     payload = {
@@ -215,11 +211,10 @@ def cmd_ellis(args) -> int:
         "elements": [_element_as_label_map(sys_, row) for row in sg.images.tolist()],
         "generator_indices": list(sg.generator_indices),
     }
-    _emit(_json_text(payload), args.json_out)
-    return EXIT_OK
+    return EXIT_OK, {args.json_out: _json_text(payload)}
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> tuple[int, dict]:
     sys_ = _system_from_descriptor(_load_descriptor(args.input))
     sg = ellis(sys_, args.budget)
     ker = sorted(kernel(sg))
@@ -228,22 +223,20 @@ def cmd_kernel(args) -> int:
         "kernel_indices": ker,
         "kernel_elements": [_element_as_label_map(sys_, row) for row in sg.images[ker].tolist()],
     }
-    _emit(_json_text(payload), args.json_out)
-    return EXIT_OK
+    return EXIT_OK, {args.json_out: _json_text(payload)}
 
 
-def cmd_invariant_measures(args) -> int:
+def cmd_invariant_measures(args) -> tuple[int, dict]:
     sys_ = _system_from_descriptor(_load_descriptor(args.input))
     measures = invariant_measures(sys_)
     payload = {
         "states": list(sys_.states),
         "measures": [[str(w) for w in mu.weights] for mu in measures],
     }
-    _emit(_json_text(payload), args.json_out)
-    return EXIT_OK
+    return EXIT_OK, {args.json_out: _json_text(payload)}
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> tuple[int, dict]:
     doc = _load_descriptor(args.input)
     if "subshift" in doc:
         word, window = _subshift_word(doc["subshift"])
@@ -256,8 +249,7 @@ def cmd_trace(args) -> int:
         ns.append(horizon)
         values = cesaro_trace(word, FIRST_COORDINATE, ns)
         text = _csv_text(("N", "value", "value_float"), trace_csv_rows(ns, values))
-        _emit(text, args.csv_out)
-        return EXIT_OK
+        return EXIT_OK, {args.csv_out: text}
     _require(args.N >= 1, "need N >= 1")
     sys_ = _system_from_descriptor(doc)
     adjoints = [adjoint_matrix(g) for g in sys_.generator_maps]
@@ -272,16 +264,11 @@ def cmd_trace(args) -> int:
     else:
         raise InputError(f"unknown net {args.net!r}")
     verdict = verify_net(net, adjoints, args.side, Fraction(args.tol))
-    text = _csv_text(
-        ("descriptor", "generator", "side", "defect", "defect_float"),
-        defect_csv_rows(verdict),
-    )
-    _emit(text, args.csv_out)
-    return EXIT_OK
+    header = ("descriptor", "generator", "side", "defect", "defect_float")
+    return EXIT_OK, {args.csv_out: _csv_text(header, defect_csv_rows(verdict))}
 
 
-def cmd_reproduce(args) -> int:
-    out_dir = args.out_dir or "."
+def cmd_reproduce(args) -> tuple[int, dict]:
     if args.name == "rolandex":
         word, window = _subshift_word({"horizon": args.horizon,
                                        "window": 7 if args.window is None else args.window})
@@ -297,15 +284,13 @@ def cmd_reproduce(args) -> int:
                 {"N": n, "value": str(v)} for n, v in zip(ns, values)
             ],
         }
-        os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(os.path.join(out_dir, "rolandex_report.json"), _json_text(payload))
-        _atomic_write(
-            os.path.join(out_dir, "rolandex_trace.csv"),
-            _csv_text(("N", "value", "value_float"), trace_csv_rows(ns, values)),
-        )
         both_constants = set(report.fixed) == {(0,) * window, (1,) * window}
         reproduced = report.weak_star_mean_ergodic == "false" and both_constants
-        return EXIT_OK if reproduced else EXIT_UNDETERMINED
+        return EXIT_OK if reproduced else EXIT_UNDETERMINED, {
+            os.path.join(args.out_dir, "rolandex_report.json"): _json_text(payload),
+            os.path.join(args.out_dir, "rolandex_trace.csv"):
+                _csv_text(("N", "value", "value_float"), trace_csv_rows(ns, values)),
+        }
     if args.name == "coscos":
         model = build_grid(2, 100)
         mu = uniform_weights(model)
@@ -322,13 +307,11 @@ def cmd_reproduce(args) -> int:
             "n_cesaro": check.n_cesaro,
             "converged": check.converged,
         }
-        os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(os.path.join(out_dir, "coscos_report.json"), _json_text(payload))
-        _atomic_write(
-            os.path.join(out_dir, "coscos_trace.csv"),
-            _csv_text(("n", "off_pi_mass"), off_pi_trace_rows(model, mu, ns)),
-        )
-        return EXIT_OK if check.converged and dist <= tol else EXIT_UNDETERMINED
+        return EXIT_OK if check.converged and dist <= tol else EXIT_UNDETERMINED, {
+            os.path.join(args.out_dir, "coscos_report.json"): _json_text(payload),
+            os.path.join(args.out_dir, "coscos_trace.csv"):
+                _csv_text(("n", "off_pi_mass"), off_pi_trace_rows(model, mu, ns)),
+        }
     raise InputError(f"unknown reproduction {args.name!r}")
 
 
@@ -338,28 +321,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enveloping semigroups and mean ergodicity of finite systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source, budget, json_out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    source.add_argument("input")
+    budget.add_argument("--budget", type=int, default=None)
+    json_out.add_argument("--json-out", default=None)
 
-    p = sub.add_parser("classify", help="full classification report")
-    p.add_argument("input")
-    p.add_argument("--budget", type=int, default=None)
+    p = sub.add_parser("classify", parents=[source, budget, json_out],
+                       help="full classification report")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_classify)
-
     for name, func in (("ellis", cmd_ellis), ("kernel", cmd_kernel)):
-        p = sub.add_parser(name)
-        p.add_argument("input")
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--json-out", default=None)
-        p.set_defaults(func=func)
+        sub.add_parser(name, parents=[source, budget, json_out]).set_defaults(func=func)
+    sub.add_parser("invariant-measures", parents=[source, json_out]).set_defaults(
+        func=cmd_invariant_measures)
 
-    p = sub.add_parser("invariant-measures")
-    p.add_argument("input")
-    p.add_argument("--json-out", default=None)
-    p.set_defaults(func=cmd_invariant_measures)
-
-    p = sub.add_parser("trace", help="ergodic net defect trace as CSV")
-    p.add_argument("input")
+    p = sub.add_parser("trace", parents=[source], help="ergodic net defect trace as CSV")
     p.add_argument("--net", choices=("cesaro", "abel", "folner"), default="cesaro")
     p.add_argument("--N", type=int, default=64)
     p.add_argument("--r", type=float, default=2.0)
@@ -373,25 +349,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_reproduce)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its outputs and map every failure to an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         for option in ("r", "tol"):
             _require(math.isfinite(getattr(args, option, 0.0)), f"--{option} must be finite")
-        return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, outputs = args.func(args)
+        # Only a computation that succeeded creates its output directory.
+        if args.command == "reproduce" and args.out_dir:
+            os.makedirs(args.out_dir, exist_ok=True)
+        for path, text in outputs.items():
+            if path:
+                _atomic_write(path, text)
+            else:
+                sys.stdout.write(text)
+        return code
     except SizeCapError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

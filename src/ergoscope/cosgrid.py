@@ -45,8 +45,8 @@ def build_grid(multiples_of_pi: int, subdivisions: int) -> GridModel:
 
     Raises :class:`SizeCapError` when the K*m + 1 points exceed the element cap.
     """
-    if multiples_of_pi < 1 or subdivisions < 1:
-        raise ValueError("need at least one pi multiple and one subdivision")
+    check_int(multiples_of_pi, "multiples_of_pi", 1)
+    check_int(subdivisions, "subdivisions", 1)
     count = multiples_of_pi * subdivisions + 1
     if count > element_cap():
         raise SizeCapError(f"grid of {count} points exceeds element cap {element_cap()}")
@@ -199,6 +199,7 @@ def weak_star_limit_check(model: GridModel, mu: np.ndarray, tol: float,
     """
     if not tol >= 0:
         raise ValueError("need tol >= 0")
+    check_int(max_n, "max_n", 1)
     _check_measure(model, mu)
     d = model.diagonal
     off = d != 1.0

@@ -66,8 +66,10 @@ class AbelMean:
 def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
     """Truncated Abel mean (r-1) * sum r^-(n+1) M^n with a tail bound.
 
-    Truncates once the geometric remainder is at most ``tail_tol`` in
-    max-entry norm; the truncation index is reported.
+    Truncates at the least ``terms`` >= 1 whose geometric remainder is at
+    most ``tail_tol`` in max-entry norm.  The truncated weights sum to
+    1 - r^-terms, so the sum is that total times the :func:`abel_net` step
+    at r over ``terms`` powers, which renormalizes the same weights.
     """
     r = Fraction(r)
     tail_tol = Fraction(tail_tol)
@@ -76,18 +78,11 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
     if tail_tol <= 0:
         raise ValueError("Abel means need tail_tol > 0")
     bound = _power_bound(m)
-    terms = 0
-    remainder = bound  # bound * r^-terms
+    terms, remainder = 1, bound / r  # remainder = bound * r^-terms
     while remainder > tail_tol:
-        terms += 1
-        remainder = remainder / r
-    terms = max(terms, 1)
-    acc = OperatorMatrix.zeros(m.n)
-    coeff = (r - 1) / r
-    for power in matrix_powers(m, terms):
-        acc = acc + power.scale(coeff)
-        coeff = coeff / r
-    return AbelMean(acc, terms, bound / r**terms)
+        terms, remainder = terms + 1, remainder / r
+    step = abel_net(m, [r], terms).steps[0]
+    return AbelMean(step.matrix.scale(1 - r**-terms), terms, remainder)
 
 
 def folner_box(generators, n: int) -> OperatorMatrix:

@@ -9,14 +9,18 @@ the same bytes, except that the stepwise one calls ``np.multiply`` by
 name, the same multiply as its earlier ``*=``, so that a test can
 substitute a faulty one.  ``cayley_table`` composes image rows, independently of
 the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
-elements against it pair by pair.
+elements against it pair by pair.  ``abel`` is the earlier Abel mean that
+summed its own power loop.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from ergoscope.cosgrid import GridLimitReport, GridModel, iterate_adjoint, pi_projection
+from ergoscope.nets import AbelMean, _power_bound, matrix_powers
+from ergoscope.operators import OperatorMatrix
 from ergoscope.rational import ZERO, rref
 from ergoscope.subshift import BinaryWord, Window
 from ergoscope.systems import FiniteSystem
@@ -35,6 +39,29 @@ def multiplicative_on_all_pairs(sg: TransSemigroup, images: np.ndarray) -> bool:
     table = cayley_table(sg)
     return all(np.array_equal(images[table[:, t]], images[:, images[t]])
                for t in range(sg.size))
+
+
+def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
+    """Truncated Abel mean (r-1) * sum r^-(n+1) M^n with a tail bound."""
+    r = Fraction(r)
+    tail_tol = Fraction(tail_tol)
+    if r <= 1:
+        raise ValueError("Abel means need r > 1")
+    if tail_tol <= 0:
+        raise ValueError("Abel means need tail_tol > 0")
+    bound = _power_bound(m)
+    terms = 0
+    remainder = bound  # bound * r^-terms
+    while remainder > tail_tol:
+        terms += 1
+        remainder = remainder / r
+    terms = max(terms, 1)
+    acc = OperatorMatrix.zeros(m.n)
+    coeff = (r - 1) / r
+    for power in matrix_powers(m, terms):
+        acc = acc + power.scale(coeff)
+        coeff = coeff / r
+    return AbelMean(acc, terms, bound / r**terms)
 
 
 def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -320,3 +321,78 @@ def test_byte_identical_reruns(tmp_path):
     run_cli(["trace", path, "--net", "folner", "--N", "8", "--csv-out", str(csv1)])
     run_cli(["trace", path, "--net", "folner", "--N", "8", "--csv-out", str(csv2)])
     assert csv1.read_bytes() == csv2.read_bytes()
+
+
+@pytest.mark.parametrize("given, args", [
+    ("missing/out.json", ["classify", "{input}", "--json-out", "{given}"]),
+    ("a_dir", ["classify", "{input}", "--json-out", "{given}"]),
+    ("missing/out.csv", ["trace", "{input}", "--csv-out", "{given}"]),
+    ("a_dir", ["classify", "{given}"]),
+    ("a_file/sub", ["reproduce", "coscos", "--out-dir", "{given}"]),
+], ids=["json-out-missing-dir", "json-out-is-dir", "csv-out-missing-dir", "input-is-dir",
+        "out-dir-under-file"])
+def test_unusable_path_exits_one_without_traceback(tmp_path, given, args):
+    # open, mkstemp, os.replace or os.makedirs raises an OSError on each path.
+    path = write_descriptor(tmp_path, CYCLIC)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    given = str(tmp_path / given)
+    result = run_cli([a.format(input=path, given=given) for a in args])
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("input error")
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert given in result.stderr and ".ergoscope-" not in result.stderr
+    assert not list(tmp_path.rglob(".ergoscope-*"))
+
+
+# SHA-256 of the CLI's outputs: refactoring the command layer must keep every byte.
+STDOUT_SHA256 = {
+    ("CYCLIC", "classify"): "ac8f9e3304d55ce51f982d09e1be2b7cbbdc4114478742b5e51aea861b66eee9",
+    ("CYCLIC", "ellis"): "f98278bcb9c38a4e88f54cd02a0f0b70f7e2bfc97333cb456d8edc388fa43f6a",
+    ("CYCLIC", "kernel"): "4ebc0b368a59a860696ba984c42f743c05e91f2cea167f602fca91a4ffaa2424",
+    ("CYCLIC", "invariant-measures"):
+        "e788b38b5a201ab338dd4514a9d94a522d27b7738a0eb9c97ff4e6a5696d1fc7",
+    ("CYCLIC", "trace"): "9d475e73daee6948355f6167d115439d43e599e811dcb745352482a98333456b",
+    ("TWO_FIXED", "classify"): "28d9e8de1ee2af56a5df3b8470f2a616dc815d0dfe7ccc09840b2ec13ce8586e",
+    ("TWO_FIXED", "ellis"): "6613d95f7502d3c8806e42db7d94457399d432db6202d8a866bf7c3ca9064e50",
+    ("TWO_FIXED", "kernel"): "026ec58979b7bf025e69616aea65ca317ccbbe1f7f074d30e3477fa7ce382ab8",
+    ("TWO_FIXED", "invariant-measures"):
+        "dfde6a9c030adfa209b20bb86c385565d2f3dca066166b2dcdf6936d87885725",
+    ("TWO_FIXED", "trace"): "177270051d12bc4196984e466a5ea8d045a1ad066a4dbe69a88d3172461a426a",
+}
+REPRODUCE_SHA256 = {
+    "rolandex": {
+        "rolandex_report.json": "9325119989baa6422047165af5680064fbe829b32c28dd3cdd8550a58d528d91",
+        "rolandex_trace.csv": "d6db2a37b32b18efbcdd443f2702b17fee475bb76a31cdf0ae582e13347f8a81",
+    },
+    "coscos": {
+        "coscos_report.json": "6ea880061453a224b858b1f2699370e17c1b7537a2862804a69af91720c75806",
+        "coscos_trace.csv": "3af06e6c4c362d2478c5ef77c2e5623a8f6791bdf4a93733606d46f1f2489fd7",
+    },
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(STDOUT_SHA256))
+def test_stdout_bytes_are_pinned(tmp_path, name, command):
+    args = [command, write_descriptor(tmp_path, globals()[name])]
+    if command == "trace":
+        args += ["--net", "folner", "--N", "8"]
+    result = run_cli(args)
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == STDOUT_SHA256[name, command]
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCE_SHA256))
+def test_reproduce_bytes_are_pinned(tmp_path, name):
+    from ergoscope.subshift import block_boundary
+
+    args = ["reproduce", name, "--out-dir", str(tmp_path / "out")]
+    if name == "rolandex":
+        args += ["--horizon", str(block_boundary(4) + 4), "--window", "3"]
+    result = run_cli(args)
+    assert result.returncode == 0, result.stderr
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / "out").iterdir()}
+    assert digests == REPRODUCE_SHA256[name]

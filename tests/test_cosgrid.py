@@ -168,7 +168,7 @@ TOLS = [0.0] + [10.0**-k for k in range(3, 16)]
 
 @settings(max_examples=300, deadline=None)
 @given(grid_measures(), st.sampled_from(TOLS),
-       st.integers(0, 2**12) | st.just(10**14))
+       st.integers(1, 2**12) | st.just(10**14))
 @example((build_grid(2, 10**4), uniform_weights(build_grid(2, 10**4))), 1e-12, 10**14)
 # With tol 0 the power distance must reach exactly 0, when the mass underflows.
 @example((build_grid(1, 7), dirac_weights(build_grid(1, 7), 3)), 0.0, 10**14)
@@ -216,6 +216,18 @@ def test_negative_arguments_raise():
     for tol in (-1e-9, float("nan")):
         with pytest.raises(ValueError, match="need tol >= 0"):
             weak_star_limit_check(model, mu, tol)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_grid(True, 10), "need an integer multiples_of_pi, got True"),
+    (lambda: build_grid(2, True), "need an integer subdivisions, got True"),
+    (lambda: build_grid(2, 100.5), "need an integer subdivisions, got 100.5"),
+    (lambda: weak_star_limit_check(build_grid(1, 10), uniform_weights(build_grid(1, 10)),
+                                   1e-6, max_n=-3), "need max_n >= 1"),
+], ids=["multiples-bool", "subdivisions-bool", "subdivisions-float", "max-n-negative"])
+def test_grid_counts_must_be_positive_integers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def off_by_one_ulp(model):

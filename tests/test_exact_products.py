@@ -7,7 +7,8 @@ one sparse sum, and ``OperatorMatrix`` caches its hash.  The references
 below are the definitions they replaced: the step-by-step powers, the
 dense product and the sequential scale-and-add.  ``power_periodicity``
 shares the first-repeat loop of ``matrix_powers``; its reference composes
-``Transformation`` objects one at a time.
+``Transformation`` objects one at a time.  ``abel`` rescales an ``abel_net``
+step; its reference is the power loop it replaced, in ``oracles``.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ergoscope import rational
 from ergoscope.envelope import power_periodicity
 from ergoscope.nets import abel, abel_net, folner_net, matrix_powers
@@ -161,6 +163,26 @@ def test_abel_mean_matches_the_power_loop():
             acc = acc + power.scale(coeff)
             coeff = coeff / 3
         assert mean.matrix == acc
+
+
+@st.composite
+def abel_matrices(draw):
+    """A permutation pushforward or a diagonal with entries in [0, 1]."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return adjoint_matrix(Transformation(tuple(draw(st.permutations(range(n))))))
+    diagonal = draw(st.lists(st.fractions(0, 1, max_denominator=12), min_size=n, max_size=n))
+    return OperatorMatrix.from_rows([[d if i == j else 0 for j in range(n)]
+                                     for i, d in enumerate(diagonal)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(abel_matrices(), st.fractions(F(11, 10), 6, max_denominator=20), st.integers(1, 9))
+def test_abel_is_the_rescaled_abel_net_step(m, r, digits):
+    tail_tol = F(1, 10**digits)
+    mean, ref = abel(m, r, tail_tol), oracles.abel(m, r, tail_tol)
+    assert (mean.matrix.rows, mean.terms, mean.tail_bound) == (ref.matrix.rows, ref.terms,
+                                                               ref.tail_bound)
 
 
 @pytest.mark.parametrize("images, preperiod, period", [
