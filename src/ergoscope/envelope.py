@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from . import rational
 from .nets import first_repeat, folner_net
@@ -44,6 +46,7 @@ from .transforms import (
     SizeCapError,
     Transformation,
     TransSemigroup,
+    check_int,
     generate_closure,
     kernel,
     restriction_epimorphism,
@@ -61,12 +64,18 @@ class Verdict(enum.Enum):
 
 
 VERIFY_ALL_MAX = 1000                    # verify zero identities on all elements
+PUSH_BLOCK = 1 << 20                     # entries per pushforward block in _absorbed
 
 
 @dataclass(frozen=True)
 class Budget:
     max_elements: int | None = None      # closure cap; None = global default
     lp_max_elements: int = 64            # kernel size cap for the exact LP
+
+    def __post_init__(self):
+        if self.max_elements is not None:
+            check_int(self.max_elements, "max_elements", 0)
+        check_int(self.lp_max_elements, "lp_max_elements", 0)
 
 
 def ellis(sys: FiniteSystem, max_elements: int | None = None) -> TransSemigroup:
@@ -141,20 +150,39 @@ class ZeroSearchResult:
     notes: tuple[str, ...] = ()
 
 
-def _absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:
-    """A_t Q = Q A_t = Q, exactly, for the map t with these images.
+def _absorbed(q: OperatorMatrix, images: np.ndarray) -> np.ndarray:
+    """Which maps t, one per row of ``images``, give A_t Q = Q A_t = Q, exactly.
 
     Column c of A_t is the point mass at t(c), so column c of Q A_t is
-    column t(c) of Q, and row r of A_t Q is the sum of the rows x of Q
-    with t(x) = r.
+    column t(c) of Q: Q A_t = Q iff t keeps every column's label.  Column
+    v of A_t Q is the pushforward of v by t, so A_t Q = Q iff t pushes
+    each distinct column onto itself.  Each column is scaled to integers
+    by its common denominator d, and (d, scaled column) is its label.
+    The distinct ones are pushed forward by one indexed add per block of
+    rows.  No partial sum exceeds a column's scaled absolute sum, so the
+    block is int64 when every such sum lies below 2**63 and holds Python
+    integers otherwise.
     """
-    rows = q.rows
-    if any(row[t] != row[c] for row in rows for c, t in enumerate(images)):
-        return False
-    sums = [[0] * len(rows) for _ in rows]
-    for x, r in enumerate(images):
-        sums[r] = [a + b for a, b in zip(sums[r], rows[x])]
-    return all(tuple(s) == row for s, row in zip(sums, rows))
+    labels: dict[tuple[int, ...], int] = {}
+    lab = []
+    for col in zip(*q.rows):
+        d = math.lcm(*(x.denominator for x in col))
+        key = (d, *(x.numerator * (d // x.denominator) for x in col))
+        lab.append(labels.setdefault(key, len(labels)))
+    lab = np.array(lab)
+    ok = (lab[images] == lab).all(axis=1)
+    scaled = [key[1:] for key in labels]
+    wide = max(sum(map(abs, col)) for col in scaled) >= 2 ** 63
+    cols = np.array(scaled, dtype=object if wide else np.int64).T
+    n, k = cols.shape
+    rows = np.flatnonzero(ok)
+    step = max(1, PUSH_BLOCK // (n * k))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        pushed = np.zeros((len(block), n, k), dtype=cols.dtype)
+        np.add.at(pushed, (np.arange(len(block))[:, None], images[block]), cols)
+        ok[block] = (pushed == cols).all(axis=(1, 2))
+    return ok
 
 
 def _certify(weights: dict[tuple[int, ...], Fraction], sys: FiniteSystem) -> ZeroCertificate:
@@ -165,8 +193,9 @@ def _certify(weights: dict[tuple[int, ...], Fraction], sys: FiniteSystem) -> Zer
     witness = tuple((Transformation(images), w) for images, w in sorted(weights.items()))
     q = pushforward(witness)
     checks = []
-    for name, g in sys.generators:
-        if not _absorbs(q, g.images):
+    absorbed = _absorbed(q, np.array([g.images for g in sys.generator_maps]))
+    for (name, _), ok in zip(sys.generators, absorbed):
+        if not ok:
             raise AssertionError(f"Q is not a zero: generator {name!r} fails A Q = Q A = Q")
         checks.append(f"A[{name}] Q = Q A[{name}] = Q")
     checks.append("Q is a convex combination of semigroup pushforwards")
@@ -200,23 +229,20 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     simplex solves it, and a None here is a proof that no zero exists.
     """
     ker = sorted(kernel(sg))
-    # E_k[r][c] = 1 exactly when kernel element k maps c to r.
-    own = sg.images[ker].tolist()
-    rows = []
-    for translates in zip(sg.left[ker].T, sg.right[ker].T):
-        pair = [sg.images[t].tolist() for t in translates]
-        for r in range(sys.n):
-            for c in range(sys.n):
-                for images in pair:
-                    rows.append(tuple(
-                        (t[c] == r) - (e[c] == r) for t, e in zip(images, own)
-                    ))
+    own = sg.images[ker]
+    # Row (g, r, c, side) holds, per kernel element k, entry (r, c) of
+    # A_t - A_k for t = g o k (side 0) and t = k o g (side 1), where
+    # (A_t)[r][c] = [t(c) == r].
+    states = np.arange(sys.n)[:, None]
+    moved = sg.images[np.stack([sg.left[ker], sg.right[ker]])]
+    block = (moved[..., None, :] == states).astype(np.int8) - (own[:, None, :] == states)[:, None]
+    rows = list(map(tuple, block.transpose(2, 3, 4, 0, 1).reshape(-1, len(ker)).tolist()))
     rows.append((Fraction(1),) * len(ker))
     rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
     solution = rational.lp_feasible_point(rows, rhs)
     if solution is None:
         return None
-    return _certify({tuple(e): w for e, w in zip(own, solution) if w > 0}, sys)
+    return _certify({tuple(e): w for e, w in zip(own.tolist(), solution) if w > 0}, sys)
 
 
 def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
@@ -284,10 +310,14 @@ def convex_koehler_zero(
 
 
 def verify_zero_on_all_elements(cert: ZeroCertificate, sg: TransSemigroup) -> int:
-    """Q M = M Q = Q for every element pushforward; returns check count."""
-    for images in sg.images.tolist():
-        if not _absorbs(cert.matrix, images):
-            raise AssertionError(f"zero identity fails on element {tuple(images)}")
+    """Q M = M Q = Q for the pushforward M of every element, checked
+    exactly on the whole image array at once; returns the check count.
+    Raises AssertionError naming the first failing element in
+    ``sg.images`` order."""
+    failed = np.flatnonzero(~_absorbed(cert.matrix, sg.images))
+    if failed.size:
+        raise AssertionError(
+            f"zero identity fails on element {tuple(sg.images[failed[0]].tolist())}")
     return 2 * sg.size
 
 

@@ -119,15 +119,17 @@ def lp_feasible_point(
     """Exact phase-1 simplex: some x >= 0 with A x = b, or None.
 
     Dense tableau with Bland's rule, so it terminates on every input.
-    Intended for small systems (dozens of rows/columns).
+    Intended for small systems (dozens of rows/columns).  Redundant rows
+    go first, so that every artificial can leave the basis: zero and
+    repeated rows of [A | b] before the elimination, the rest by it.  The
+    reduced echelon form depends only on the row space, so the tableau
+    and the point returned do not depend on row order or repeats.
     """
-    a = [list(map(Fraction, row)) for row in rows]
-    b = [Fraction(x) for x in rhs]
-    if not a:
+    if not rows:
         return ()
-    n = len(a[0])
-    # Drop redundant rows first so every artificial can leave the basis.
-    reduced, pivots = rref([row + [bi] for row, bi in zip(a, b)])
+    n = len(rows[0])
+    distinct = dict.fromkeys((*row, bi) for row, bi in zip(rows, rhs))
+    reduced, pivots = rref([list(map(Fraction, row)) for row in distinct if any(row)])
     if n in pivots:
         return None
     rows2 = [r for r in reduced if any(x != 0 for x in r)]

@@ -10,9 +10,11 @@ name, the same multiply as its earlier ``*=``, so that a test can
 substitute a faulty one.  ``cayley_table`` composes image rows, independently of
 the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
 elements against it pair by pair.  ``abel`` is the earlier Abel mean that
-summed its own power loop.
+summed its own power loop.  ``absorbs`` is the earlier zero identity check,
+one map at a time on the rows of Q.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +64,22 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
         acc = acc + power.scale(coeff)
         coeff = coeff / r
     return AbelMean(acc, terms, bound / r**terms)
+
+
+def absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:
+    """A_t Q = Q A_t = Q, exactly, for the map t with these images.
+
+    Column c of A_t is the point mass at t(c), so column c of Q A_t is
+    column t(c) of Q, and row r of A_t Q is the sum of the rows x of Q
+    with t(x) = r.
+    """
+    rows = q.rows
+    if any(row[t] != row[c] for row in rows for c, t in enumerate(images)):
+        return False
+    sums = [[0] * len(rows) for _ in rows]
+    for x, r in enumerate(images):
+        sums[r] = [a + b for a, b in zip(sums[r], rows[x])]
+    return all(tuple(s) == row for s, row in zip(sums, rows))
 
 
 def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:

@@ -1,21 +1,27 @@
-"""The zero search over the Ellis kernel, and zero identities on image tuples.
+"""The zero search over the Ellis kernel, and zero identities on image arrays.
 
 ``convex_koehler_zero`` solves its exact LP over the kernel K alone, and
-``_absorbs`` reads A_t Q = Q A_t = Q off the image tuple of t.  The
-reference for the latter is the pair of exact matrix products.  The
-commuting zero composes one period of each map's powers as image tuples;
-its reference convolves per-map limits keyed by ``Transformation``.
+``_absorbed`` reads A_t Q = Q A_t = Q off every row of an image array at
+once.  Its references are the pair of exact matrix products and the
+oracle ``absorbs``, which checks one image tuple at a time on the rows of
+Q.  The commuting zero composes one period of each map's powers as image
+tuples; its reference convolves per-map limits keyed by ``Transformation``.
 """
 
 import dataclasses
+import math
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoscope import envelope
 from ergoscope.envelope import (
-    _absorbs,
+    _absorbed,
     _zero_by_cesaro_product,
     classify,
     ellis,
@@ -25,19 +31,25 @@ from ergoscope.envelope import (
 from ergoscope.operators import OperatorMatrix, adjoint_matrix, pushforward
 from ergoscope.systems import FiniteSystem, random_system
 from ergoscope.transforms import Transformation, kernel
+from oracles import absorbs
+
+# Entries of this denominator scale a column past 2**63, onto Python integers.
+WIDE = 3 ** 40
 
 
 @st.composite
-def map_and_matrix(draw):
+def map_and_matrix(draw, wide=st.just(False)):
     """A map t and a matrix Q that absorbs A_t on neither, one or both sides.
 
     P, the Cesàro limit of the powers of A_t, satisfies A_t P = P A_t = P,
     so P B absorbs A_t from the left, B P from the right and P B P from
-    both, while a plain B usually absorbs it on neither side.
+    both, while a plain B usually absorbs it on neither side.  A ``wide``
+    B has entries k / 3**40.
     """
     n = draw(st.integers(1, 5))
     t = Transformation(draw(st.tuples(*[st.integers(0, n - 1)] * n)))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = (st.integers(-3 * WIDE, 3 * WIDE).map(lambda k: Fraction(k, WIDE))
+             if draw(wide) else st.fractions(min_value=-3, max_value=3, max_denominator=4))
     b = OperatorMatrix(tuple(
         tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n)
     ))
@@ -54,8 +66,8 @@ def test_absorbs_matches_matrix_products(case):
     t, q, sides = case
     a = adjoint_matrix(t)
     left, right = a @ q == q, q @ a == q
-    assert _absorbs(q, t.images) == (left and right)
-    assert _absorbs(q, list(t.images)) == (left and right)
+    assert absorbs(q, t.images) == (left and right)
+    assert absorbs(q, list(t.images)) == (left and right)
     if sides in ("left", "both"):
         assert left
     if sides in ("right", "both"):
@@ -70,9 +82,74 @@ def test_absorbs_tells_the_two_sides_apart():
     only_right = OperatorMatrix.from_rows([[0, 0], [1, 1]])
     assert a @ only_left == only_left and only_left @ a != only_left
     assert only_right @ a == only_right and a @ only_right != only_right
-    assert not _absorbs(only_left, t.images)
-    assert not _absorbs(only_right, t.images)
-    assert _absorbs(OperatorMatrix.from_rows([[1, 1], [0, 0]]), t.images)
+    assert not absorbs(only_left, t.images)
+    assert not absorbs(only_right, t.images)
+    assert absorbs(OperatorMatrix.from_rows([[1, 1], [0, 0]]), t.images)
+    images = np.array([t.images, (0, 1), (1, 0)])
+    assert _absorbed(only_left, images).tolist() == [False, True, False]
+    assert _absorbed(only_right, images).tolist() == [False, True, False]
+    assert _absorbed(OperatorMatrix.from_rows([[1, 1], [0, 0]]), images).tolist() == [
+        True, True, False]
+
+
+def wide_columns(q):
+    """Whether some column of Q, scaled to integers by its common
+    denominator, has an absolute sum of at least 2**63."""
+    return any(math.lcm(*(x.denominator for x in col)) * sum(map(abs, col)) >= 2 ** 63
+               for col in zip(*q.rows))
+
+
+def assert_absorbed_matches(q, images):
+    """``_absorbed`` on the stacked rows, in one block and in blocks of one
+    row, equals the oracle and the exact matrix products row by row."""
+    products = [adjoint_matrix(Transformation(row)) for row in images]
+    expected = [a @ q == q and q @ a == q for a in products]
+    assert [absorbs(q, row) for row in images] == expected
+    assert _absorbed(q, np.array(images)).tolist() == expected
+    with mock.patch.object(envelope, "PUSH_BLOCK", 1):
+        assert _absorbed(q, np.array(images)).tolist() == expected
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_and_matrix(wide=st.booleans()), st.data())
+def test_absorbed_matches_oracle_and_products(case, data):
+    t, q, sides = case
+    n = t.degree
+    others = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), max_size=6))
+    expected = assert_absorbed_matches(q, [t.images, *others])
+    if sides == "both":
+        assert expected[0]
+
+
+def test_absorbed_on_python_integers():
+    # Every column has denominator 3**40 > 2**63, so the pushforward
+    # block holds Python integers; an int64 block could not hold them.
+    a, b = Fraction(WIDE // 2, WIDE), Fraction(WIDE - WIDE // 2, WIDE)
+    q = OperatorMatrix.from_rows([[a, a, a], [b, b, b], [0, 0, 0]])
+    assert wide_columns(q)
+    images = [(0, 1, 2), (0, 1, 0), (0, 1, 1), (1, 0, 2), (0, 0, 2), (2, 1, 0)]
+    assert assert_absorbed_matches(q, images) == [True, True, True, False, False, False]
+
+
+def test_absorbed_on_classify_certificates():
+    """Every certificate ``classify`` finds is absorbed by every closure
+    element, and on random maps the array check agrees with the oracle."""
+    rng = random.Random(21)
+    found = rejected = 0
+    for seed in range(40):
+        sys_ = random_system(3 + seed % 4, 1 + seed % 3, seed=seed)
+        report = classify(sys_)
+        if report.zero.status != "found":
+            continue
+        found += 1
+        q, sg = report.zero.certificate.matrix, ellis(sys_)
+        assert _absorbed(q, sg.images).all()
+        assert all(absorbs(q, row) for row in sg.images.tolist())
+        maps = [tuple(rng.randrange(sys_.n) for _ in range(sys_.n)) for _ in range(60)]
+        expected = assert_absorbed_matches(q, maps)
+        rejected += expected.count(False)
+    assert found >= 20 and rejected >= 500
 
 
 @pytest.mark.parametrize("n, g, seed, size", [(5, 3, 9, 103), (8, 3, 2, 3_596)])
