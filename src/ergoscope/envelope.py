@@ -139,7 +139,11 @@ class ZeroCertificate:
     checks: tuple[str, ...]
 
     def rank(self) -> int:
-        return self.matrix.rank()
+        """trace Q: ``_certify`` proves Q A_g = Q for every generator g, so Q A_s = Q
+        for every s in S, Q^2 = sum w_s Q A_s = Q, and an idempotent's rank is its trace."""
+        trace = sum(row[i] for i, row in enumerate(self.matrix.rows))
+        assert trace.denominator == 1, f"zero trace {trace} is not an integer"
+        return int(trace)
 
 
 @dataclass(frozen=True)
@@ -252,14 +256,16 @@ def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
     so every minimal set must carry an invariant measure; and since
     Q A_w = Q forces equal columns along orbits, no orbit closure may
     contain two measure-carrying minimal sets.  Either failure proves
-    the zero absent.
+    the zero absent.  A minimal set lies in an orbit closure iff its
+    least state does.
     """
     supports = invariant_supports(sys)
     for m in minimal_sets(sys):
         if m not in supports:
             return f"minimal set {sorted(m)} carries no invariant measure"
+    least = [min(s) for s in supports]
     for x, reach in enumerate(sys.reach):
-        inside = sum(s <= reach | {x} for s in supports)
+        inside = sum(y == x or y in reach for y in least)
         if inside >= 2:
             return (f"orbit closure of state {x} contains "
                     f"{inside} minimal sets with invariant measures")
@@ -340,9 +346,10 @@ def jacobs(sys: FiniteSystem, mu: Measure,
     multiplicative on every element against every generator; induction
     on word length extends that to all element pairs.
     """
+    if mu.n != sys.n:
+        raise ValueError(f"measure has {mu.n} states, system has {sys.n}")
     for name, g in sys.generators:
-        pushed = Measure(adjoint_matrix(g).apply(mu.weights))
-        if pushed != mu:
+        if Measure(adjoint_matrix(g).apply(mu.weights)) != mu:
             raise ValueError(f"measure is not invariant under generator {name!r}")
     restriction = restriction_epimorphism(ellis(sys, max_elements), mu.support)
     return JacobsResult(MatrixSemigroup(restriction.target), restriction.element_map,
@@ -449,6 +456,7 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
     notes.append(f"extreme invariant measures: {len(measures)}")
 
     search = convex_koehler_zero(sys, budget, _ellis=capped or sg)
+    rank = None
     if search.status == "found":
         weak_star = norm = Verdict.TRUE
         # A zero of co(S) projects onto fix(S'), spanned by the extreme measures.
@@ -458,12 +466,9 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
         if sg is not None and sg.size <= VERIFY_ALL_MAX:
             verify_zero_on_all_elements(search.certificate, sg)
     elif search.status == "absent":
-        weak_star = norm = Verdict.FALSE
-        unique = Verdict.FALSE
-        rank = None
+        weak_star = norm = unique = Verdict.FALSE
     else:
         weak_star = norm = unique = Verdict.UNDETERMINED
-        rank = None
     notes.extend(search.notes)
 
     # Cross-checks, from the supports counted in each generator-graph

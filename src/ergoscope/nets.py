@@ -41,6 +41,14 @@ def matrix_powers(m: OperatorMatrix, count: int) -> list[OperatorMatrix]:
     return powers[:count]
 
 
+def power_counts(powers: list, period: int, n: int) -> dict:
+    """How often each of the ``first_repeat`` powers occurs among M^0, ..., M^(n-1):
+    once before the cycle, and (n - 1 - j) // period + 1 times from place j on it."""
+    start = len(powers) - period
+    return {p: 1 if j < start else (n - 1 - j) // period + 1
+            for j, p in enumerate(powers[:n])}
+
+
 def cesaro(m: OperatorMatrix, n: int) -> OperatorMatrix:
     """Exact (1/N) sum of the first N powers; cesaro(M, 1) = I."""
     return folner_box([m], n)
@@ -121,6 +129,7 @@ def folner_net(generators, ns, label: str = "folner") -> NetSample:
 
     The box is summed one generator at a time, merging equal partial
     products, so the work grows with the number of distinct products.
+    Each side's N powers are counted off their cycle, never listed.
     """
     generators = list(generators)
     ns = list(ns)
@@ -134,12 +143,13 @@ def folner_net(generators, ns, label: str = "folner") -> NetSample:
         for b in generators[i + 1:]:
             if a @ b != b @ a:
                 raise ValueError("Følner box averages need commuting generators")
-    powers = [matrix_powers(g, max(ns)) for g in generators]
+    cycles = [first_repeat(OperatorMatrix.identity(g.n), lambda p: p @ g, max(ns))
+              for g in generators]
     steps = []
     for n in ns:
-        counts = Counter(powers[0][:n])
-        for gen_powers in powers[1:]:
-            distinct = Counter(gen_powers[:n])
+        counts = power_counts(*cycles[0], n)
+        for cycle in cycles[1:]:
+            distinct = power_counts(*cycle, n)
             merged = Counter()
             for acc, c in counts.items():
                 for p, k in distinct.items():

@@ -38,7 +38,7 @@ class OperatorMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "OperatorMatrix":
-        return cls(rational.as_fraction_rows(rows))
+        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "OperatorMatrix":
@@ -74,23 +74,27 @@ class OperatorMatrix:
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(rational.mat_mul(self.rows, other.rows))
 
+    def _check_size(self, n: int) -> None:
+        if n != self.n:
+            raise ValueError(f"size mismatch: {self.n}-state matrix and {n}-state operand")
+
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(rational.mat_add(self.rows, other.rows))
+        return self - other.scale(-1)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        self._check_size(other.n)
         return OperatorMatrix(rational.mat_sub(self.rows, other.rows))
 
     def scale(self, c) -> "OperatorMatrix":
-        return OperatorMatrix(rational.mat_scale(Fraction(c), self.rows))
+        c = Fraction(c)
+        return OperatorMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def apply(self, vector: Row) -> Row:
+        self._check_size(len(vector))
         return rational.mat_vec(self.rows, vector)
 
-    def rank(self) -> int:
-        return rational.rank(self.rows)
-
     def max_entry_distance(self, other: "OperatorMatrix") -> Fraction:
-        return rational.max_diff(self.rows, other.rows)
+        return rational.max_abs((self - other).rows)
 
 
 def convex_combination(weighted) -> OperatorMatrix:
@@ -251,16 +255,17 @@ def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
     equal mass, so the fixed measures form a lattice spanned by 1_M for
     the supports M of the invariant measures.  Ordered by max, each block's
     free column, both indicator bases are the canonical ``fixed_space`` ones.
-    Each M lies in one C, so the pairing matrix of ``separation_check`` has
-    one nonzero per column: separation holds iff every C holds at most one
-    M.  lin rg(Id - S) is the annihilator of the 1_M, of dimension n - #M,
-    and it complements fix(S) iff every C holds exactly one M.
+    Each M lies in one C, the one of its least state, so the pairing
+    matrix of ``separation_check`` has one nonzero per column: separation
+    holds iff the least states of the M lie in #M distinct components.
+    lin rg(Id - S) is the annihilator of the 1_M, of dimension n - #M, and
+    it complements fix(S) iff, moreover, every C holds one M.
     """
     n = sys.n
     phi = congruence_closure(sys, [(x, g(x)) for g in sys.generator_maps for x in range(n)])
     components = [frozenset(x for x in range(n) if phi[x] == c) for c in range(max(phi) + 1)]
     supports = invariant_supports(sys)
-    counts = [sum(m <= c for m in supports) for c in components]
+    separating = len({phi[min(m)] for m in supports}) == len(supports)
     return DecompositionReport(len(components), n - len(supports),
-                               all(k == 1 for k in counts), all(k <= 1 for k in counts),
+                               separating and len(supports) == len(components), separating,
                                _indicators(n, components), _indicators(n, supports))

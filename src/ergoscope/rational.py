@@ -16,10 +16,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def as_fraction_rows(rows: Sequence[Sequence]) -> tuple[Row, ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity_rows(n: int) -> tuple[Row, ...]:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
@@ -42,27 +38,12 @@ def mat_vec(a: Sequence[Row], v: Sequence[Fraction]) -> Row:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_add(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c: Fraction, a: Sequence[Row]) -> tuple[Row, ...]:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def max_abs(a: Sequence[Row]) -> Fraction:
     return max((abs(x) for row in a for x in row), default=ZERO)
-
-
-def max_diff(a: Sequence[Row], b: Sequence[Row]) -> Fraction:
-    return max(
-        (abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
-        default=ZERO,
-    )
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

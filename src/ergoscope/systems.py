@@ -80,16 +80,14 @@ class FiniteSystem:
     def minimal_sets(self) -> tuple[frozenset[int], ...]:
         """All minimal nonempty invariant subsets, sorted by least element.
 
-        A set is minimal exactly when it is the orbit closure of each of
-        its points, i.e. a sink strongly connected component of the
-        one-step graph; found once per system from ``reach``.
+        Sx is minimal iff x lies in Sy for every y in Sx: then Sy = Sx for
+        each of its points, x among them.  Each minimal set is read once,
+        off its least state x, where also x <= min(Sx); one pass over
+        ``reach`` yields them in least-state order.
         """
-        closures = [r | {x} for x, r in enumerate(self.reach)]
-        found = []
-        for c in closures:
-            if all(closures[y] == c for y in c) and c not in found:
-                found.append(c)
-        return tuple(sorted(found, key=min))
+        reach = self.reach
+        return tuple(r for x, r in enumerate(reach)
+                     if x <= min(r) and all(x in reach[y] for y in r))
 
     def system_id(self) -> str:
         if self.name:

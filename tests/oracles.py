@@ -10,10 +10,12 @@ name, the same multiply as its earlier ``*=``, so that a test can
 substitute a faulty one.  ``cayley_table`` composes image rows, independently of
 the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
 elements against it pair by pair.  ``abel`` is the earlier Abel mean that
-summed its own power loop.  ``absorbs`` is the earlier zero identity check,
+summed its own power loop, and ``power_counts`` the earlier Følner-box count
+of every power in a list of all N.  ``absorbs`` is the earlier zero identity check,
 one map at a time on the rows of Q.
 """
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +66,11 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
         acc = acc + power.scale(coeff)
         coeff = coeff / r
     return AbelMean(acc, terms, bound / r**terms)
+
+
+def power_counts(m: OperatorMatrix, n: int) -> Counter:
+    """How often each power occurs among M^0, ..., M^(n-1), counted in the list of all n."""
+    return Counter(matrix_powers(m, n))
 
 
 def absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:

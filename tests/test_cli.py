@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,22 @@ def test_trace_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "descriptor,generator,side,defect,defect_float"
     assert len(lines) > 4
+
+
+def test_trace_at_a_huge_n_begins_with_the_small_n_rows(tmp_path):
+    # N = 2**40: the net counts each power, never listing N of them.  The
+    # address-space cap and the timeout end a regression that does.
+    path = write_descriptor(tmp_path, CYCLIC)
+    small = run_cli(["trace", path, "--net", "cesaro", "--N", "64"])
+    cap = 512 << 20
+    huge = subprocess.run(
+        [sys.executable, "-m", "ergoscope.cli", "trace", path, "--net", "cesaro",
+         "--N", "1099511627776"], capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert small.returncode == 0 and huge.returncode == 0, huge.stderr
+    small_lines, huge_lines = small.stdout.splitlines(), huge.stdout.splitlines()
+    assert len(huge_lines) > len(small_lines) > 1
+    assert huge_lines[:len(small_lines)] == small_lines
 
 
 def test_trace_folner_rejects_non_commuting(tmp_path):

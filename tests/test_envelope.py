@@ -211,6 +211,14 @@ def test_jacobs_two_disjoint_cycles():
     assert all(m.column_stochastic for m in result.semigroup.elements)
 
 
+@pytest.mark.parametrize("mu", [Measure.uniform_on(4, range(4)), Measure.dirac(4, 0)],
+                         ids=["mass-truncated", "invariant-prefix"])
+def test_jacobs_rejects_a_measure_of_another_size(mu):
+    sys_ = FiniteSystem(("0", "1", "2"), (("id", Transformation((0, 1, 2))),))
+    with pytest.raises(ValueError, match="measure has 4 states, system has 3"):
+        jacobs(sys_, mu)
+
+
 def test_jacobs_rejects_non_invariant():
     with pytest.raises(ValueError, match="not invariant"):
         jacobs(cyclic_shift_system(3), Measure.dirac(3, 0))

@@ -9,6 +9,8 @@ dense product and the sequential scale-and-add.  ``power_periodicity``
 shares the first-repeat loop of ``matrix_powers``; its reference composes
 ``Transformation`` objects one at a time.  ``abel`` rescales an ``abel_net``
 step; its reference is the power loop it replaced, in ``oracles``.
+``power_counts`` reads each power's multiplicity in a Følner box side off
+the first-repeat cycle; its reference counts the list of all N powers.
 """
 
 from fractions import Fraction
@@ -21,7 +23,14 @@ from hypothesis import strategies as st
 import oracles
 from ergoscope import rational
 from ergoscope.envelope import power_periodicity
-from ergoscope.nets import abel, abel_net, folner_net, matrix_powers
+from ergoscope.nets import (
+    abel,
+    abel_net,
+    first_repeat,
+    folner_net,
+    matrix_powers,
+    power_counts,
+)
 from ergoscope.operators import (
     OperatorMatrix,
     adjoint_matrix,
@@ -152,6 +161,19 @@ def test_matrix_powers_of_a_contraction_never_repeat(diagonal, count):
 @given(st.integers(1, 4).flatmap(square), st.integers(1, 8))
 def test_matrix_powers_of_any_matrix_match(m, count):
     assert matrix_powers(m, count) == ref_powers(m, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(shaped_maps().map(adjoint_matrix), st.integers(1, 3).flatmap(square)),
+       st.integers(1, 40), st.integers(0, 20))
+@example(adjoint_matrix(Transformation((1, 2, 3, 4, 2))), 40, 0)
+@example(adjoint_matrix(Transformation((1, 2, 3, 4, 2))), 5, 0)
+def test_power_counts_match_the_counted_list(m, n, beyond):
+    """n below, at and past the first repeat, from a cycle searched up to n + beyond."""
+    cycle = first_repeat(OperatorMatrix.identity(m.n), lambda p: p @ m, n + beyond)
+    counts = power_counts(*cycle, n)
+    ref = oracles.power_counts(m, n)
+    assert list(counts.items()) == list(ref.items())
 
 
 def test_abel_mean_matches_the_power_loop():

@@ -26,6 +26,18 @@ SHIFT3 = Transformation((1, 2, 0))
 TWO_FIX = Transformation((0, 1, 0))
 
 
+@pytest.mark.parametrize("operation", [
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a.max_entry_distance(b),
+    lambda a, b: a.apply((F(1), F(2))),
+    lambda a, b: adjoint_on_measure(a, Measure.uniform_on(2, range(2))),
+], ids=["add", "sub", "max_entry_distance", "apply", "adjoint_on_measure"])
+def test_operations_reject_mismatched_sizes(operation):
+    with pytest.raises(ValueError, match="3-state matrix and 2-state operand"):
+        operation(OperatorMatrix.identity(3), OperatorMatrix.identity(2))
+
+
 def test_koopman_identity():
     assert koopman_matrix(Transformation.identity(3)) == OperatorMatrix.identity(3)
 

@@ -11,10 +11,12 @@ invariant measures, with no Koopman matrix and no elimination; its
 reference is the earlier three-elimination definition.  It decides
 separation by counting the supports in each component; the reference
 takes the gram rank of ``separation_check``.  ``classify`` reads both
-cross-checks off that count and asserts that a zero's rank counts the
-extreme invariant measures, so it eliminates only for the zero.
+cross-checks off that count and asserts that a zero's rank, its trace,
+counts the extreme invariant measures, so it eliminates only in the LP.
 """
 
+import dataclasses
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -65,6 +67,35 @@ def finite_systems(draw):
         maps = [base.power(draw(st.integers(1, 2 * n))).images for _ in range(g)]
     else:
         maps = [draw(maps_of[draw(kind)]) for _ in range(g)]
+    return system_of(*maps)
+
+
+@st.composite
+def cycles_with_tails(draw):
+    """Disjoint cycles of 1-6 states and transient tails, up to 60 states
+    in all, relabelled at random.  Each of 1-3 generators rotates every
+    cycle, or now and then folds one onto its first state, and sends each
+    tail state to a state listed before it: many minimal sets, many of
+    them supports, and orbit closures and components holding several."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    n = sum(sizes) + draw(st.integers(0, 12))
+    label = draw(st.permutations(range(n)))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        images, start = [], 0
+        for k in sizes:
+            cycle = range(start, start + k)
+            if draw(st.integers(0, 4)):
+                shift = draw(st.integers(0, k - 1))
+                images.extend(cycle[(i + shift) % k] for i in range(k))
+            else:
+                images.extend([start] * k)
+            start += k
+        images.extend(draw(st.integers(0, t - 1)) for t in range(start, n))
+        relabelled = [0] * n
+        for x, y in enumerate(images):
+            relabelled[label[x]] = label[y]
+        maps.append(tuple(relabelled))
     return system_of(*maps)
 
 
@@ -133,7 +164,7 @@ def ref_zero_refuted_by_minimal_sets(sys_):
 
 
 @settings(max_examples=200, deadline=None)
-@given(finite_systems())
+@given(finite_systems() | cycles_with_tails())
 # The orbit closure of state 2 holds the fixed points 0 and 1.
 @example(system_of((0, 1, 0), (0, 1, 1)))
 def test_reach_serves_the_per_call_searches(sys_):
@@ -180,7 +211,7 @@ def ref_decomposition_check(sys_):
 
 
 @settings(max_examples=300, deadline=None)
-@given(finite_systems())
+@given(finite_systems() | cycles_with_tails())
 # The identity on 4 states: 4 components, each one support.
 @example(system_of((0, 1, 2, 3)))
 # Components {0, 1}, {2} and {3, 4, 5} hold 0, 1 and 2 supports: g1
@@ -286,11 +317,13 @@ def test_classify_finds_the_minimal_sets_once(monkeypatch, args, commuting):
 
 
 @pytest.mark.parametrize("args, status, rref_calls", [
-    # The LP's redundant-row pass and the zero's rank; both cross-checks
-    # are counts, with no elimination.
-    ((5, 3, 9), "found", 2),
+    # The LP's redundant-row pass alone: the zero's rank is its trace, and
+    # both cross-checks are counts, with no elimination.
+    ((5, 3, False, 9), "found", 1),
     # The minimal sets refute the zero before the LP.
-    ((4, 2, 1), "absent", 0),
+    ((4, 2, False, 1), "absent", 0),
+    # The Cesàro product needs no LP.
+    ((5, 2, True, 4), "found", 0),
 ])
 def test_classify_eliminates_each_fixed_space_once(monkeypatch, args, status, rref_calls):
     rref = rational.rref
@@ -301,7 +334,7 @@ def test_classify_eliminates_each_fixed_space_once(monkeypatch, args, status, rr
         return rref(rows)
 
     monkeypatch.setattr(rational, "rref", counted)
-    report = classify(random_system(*args[:2], seed=args[2]))
+    report = classify(random_system(*args))
     assert report.zero.status == status
     assert len(calls) == rref_calls
 
@@ -361,3 +394,12 @@ def test_zero_rank_counts_the_extreme_measures(sys_):
     measures = invariant_measures(sys_)
     assert report.zero_rank == rational.rank(report.zero.certificate.matrix.rows)
     assert report.zero_rank == len(measures)
+
+
+def test_zero_rank_rejects_a_non_integer_trace():
+    cert = classify(random_system(3, 1, commuting=True, seed=0)).zero.certificate
+    half = dataclasses.replace(cert, matrix=cert.matrix.scale(Fraction(1, 2)))
+    trace = sum(row[i] for i, row in enumerate(half.matrix.rows))
+    assert trace.denominator != 1
+    with pytest.raises(AssertionError, match="is not an integer"):
+        half.rank()
