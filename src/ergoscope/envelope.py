@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,13 +106,15 @@ class MatrixSemigroup:
 def koehler(sys: FiniteSystem, max_elements: int | None = None) -> MatrixSemigroup:
     """The pushforwards of the Ellis elements, bridge verified: A_s A_g =
     A_{s o g} exactly for every generator g and every element s, or every
-    generator s beyond 64 elements.  Only the matrices compared are built."""
+    generator s beyond 64 elements.  Only the matrices compared are built,
+    and the product is ``rational.mat_mul``'s: ``@`` composes the maps of
+    pushforwards, so it would check composition against itself."""
     sg = ellis(sys, max_elements)
     mat = lambda i: adjoint_matrix(Transformation(tuple(sg.images[i].tolist())))
     check = range(sg.size) if sg.size <= 64 else sg.generator_indices
     for i in check:
         for k, j in enumerate(sg.generator_indices):
-            if mat(i) @ mat(j) != mat(sg.right[i, k]):
+            if rational.mat_mul(mat(i).rows, mat(j).rows) != mat(sg.right[i, k]).rows:
                 raise AssertionError("pushforward bridge is not multiplicative")
     return MatrixSemigroup(sg)
 
@@ -160,22 +161,18 @@ def _absorbed(q: OperatorMatrix, images: np.ndarray) -> np.ndarray:
     Column c of A_t is the point mass at t(c), so column c of Q A_t is
     column t(c) of Q: Q A_t = Q iff t keeps every column's label.  Column
     v of A_t Q is the pushforward of v by t, so A_t Q = Q iff t pushes
-    each distinct column onto itself.  Each column is scaled to integers
-    by its common denominator d, and (d, scaled column) is its label.
-    The distinct ones are pushed forward by one indexed add per block of
-    rows.  No partial sum exceeds a column's scaled absolute sum, so the
-    block is int64 when every such sum lies below 2**63 and holds Python
-    integers otherwise.
+    each distinct column onto itself.  A column's label is its
+    ``OperatorMatrix.scaled_columns`` entry (d, d * column) for its common
+    denominator d, which Q caches, so checking the same Q again scales
+    nothing.  The distinct ones are pushed forward by one indexed add per
+    block of rows.  No partial sum exceeds a column's scaled absolute sum,
+    so the block is int64 when every such sum lies below 2**63 and holds
+    Python integers otherwise.
     """
-    labels: dict[tuple[int, ...], int] = {}
-    lab = []
-    for col in zip(*q.rows):
-        d = math.lcm(*(x.denominator for x in col))
-        key = (d, *(x.numerator * (d // x.denominator) for x in col))
-        lab.append(labels.setdefault(key, len(labels)))
-    lab = np.array(lab)
+    labels: dict[tuple[int, tuple[int, ...]], int] = {}
+    lab = np.array([labels.setdefault(key, len(labels)) for key in q.scaled_columns])
     ok = (lab[images] == lab).all(axis=1)
-    scaled = [key[1:] for key in labels]
+    scaled = [col for _, col in labels]
     wide = max(sum(map(abs, col)) for col in scaled) >= 2 ** 63
     cols = np.array(scaled, dtype=object if wide else np.int64).T
     n, k = cols.shape

@@ -8,12 +8,13 @@ checkable after the fact.  Cesàro nets are one-generator Følner nets.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .operators import OperatorMatrix, convex_combination
-from .rational import ZERO, max_abs
+from .rational import ZERO
 from .transforms import check_int
 
 
@@ -217,27 +218,36 @@ class NetVerdict:
         return list(worst.values())
 
 
+def _check_window(window, least: int) -> None:
+    if isinstance(window, bool) or not isinstance(window, numbers.Integral):
+        raise ValueError(f"need an integer window, got {window!r}")
+    if window < least:
+        raise ValueError(f"window must be at least {least}")
+
+
 def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> NetVerdict:
     """Check the left/right ergodic-net defects along a net sample.
 
-    Verdict is "ergodic" if the worst defect over the trailing ``window``
-    steps is at most ``tol``, "not_ergodic" if those defects sit above
-    ``tol`` without improving, and "undetermined" otherwise.  A finite
-    sample can never certify more than this.
+    The left defect of a step M against a generator g is the largest entry
+    of (I - g) M, read as M.max_entry_distance(g @ M); the right one is that
+    of M (I - g), read as M.max_entry_distance(M @ g).  Verdict is "ergodic"
+    if the worst defect over the trailing ``window`` steps is at most
+    ``tol``, "not_ergodic" if those defects sit above ``tol`` without
+    improving, and "undetermined" otherwise.  A finite sample can never
+    certify more than this.
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError("side must be left, right or two_sided")
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    _check_window(window, 1)
     tol = Fraction(tol)
-    named = [(f"g{i}", OperatorMatrix.identity(g.n) - g) for i, g in enumerate(generators)]
     sides = ("left", "right") if side == "two_sided" else (side,)
     trace = []
     for i, step in enumerate(net.steps):
-        for gname, d in named:
+        m = step.matrix
+        for k, g in enumerate(generators):
             for s in sides:
-                defect = d @ step.matrix if s == "left" else step.matrix @ d
-                trace.append(DefectRecord(i, step.descriptor, gname, s, max_abs(defect.rows)))
+                defect = m.max_entry_distance(g @ m if s == "left" else m @ g)
+                trace.append(DefectRecord(i, step.descriptor, f"g{k}", s, defect))
     verdict = NetVerdict("undetermined", side, tuple(trace))
     worst_by_step = verdict.worst_by_step()
     if len(worst_by_step) < window:
@@ -254,8 +264,7 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
 
 def detect_limit(trace, tol, window: int = 3):
     """Last element if the trailing window is tol-clustered, else None."""
-    if window < 2:
-        raise ValueError("window must be at least 2")
+    _check_window(window, 2)
     trace = list(trace)
     if len(trace) < window:
         return None

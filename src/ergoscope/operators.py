@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import add, sub
 
 from . import rational
 from .rational import ONE, ZERO, Row
@@ -20,7 +22,13 @@ from .transforms import Transformation
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """An exact rational square matrix."""
+    """An exact rational square matrix.
+
+    A pushforward A_t knows its map t (``images``) however it was built,
+    so a product with it moves entries instead of multiplying them, and a
+    pushforward hashes its image tuple.  Products of ``Fraction`` matrices
+    hold ``Fraction`` entries on every path.
+    """
 
     rows: tuple[Row, ...]
 
@@ -34,7 +42,25 @@ class OperatorMatrix:
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self.rows)
+        return hash(self.rows if self.images is None else self.images)
+
+    @cached_property
+    def images(self) -> tuple[int, ...] | None:
+        """The map t with self = A_t, or None: A_t holds one entry in each
+        column x, a 1 in row t(x), and zeros elsewhere."""
+        images = [None] * self.n
+        for y, row in enumerate(self.rows):
+            for x, v in enumerate(row):
+                if v:
+                    if v != 1 or images[x] is not None:
+                        return None
+                    images[x] = y
+        return None if None in images else tuple(images)
+
+    @cached_property
+    def scaled_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each column as (d, d * column) for its least common denominator d."""
+        return tuple(map(rational.integer_form, zip(*self.rows)))
 
     @classmethod
     def from_rows(cls, rows) -> "OperatorMatrix":
@@ -72,6 +98,21 @@ class OperatorMatrix:
         return OperatorMatrix(tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """Exact product.  M A_t gathers columns: column x is column t(x) of
+        M, so A_s A_t = A_(s o t) with no arithmetic.  A_t M sums rows: row y
+        is the sum of the rows z of M with t(z) = y, zero if there is none.
+        Any other product is ``rational.mat_mul``."""
+        self._check_size(other.n)
+        if other.images is not None:
+            t = other.images
+            return OperatorMatrix(tuple(tuple(row[y] for y in t) for row in self.rows))
+        if self.images is not None:
+            sums = [None] * self.n
+            for z, y in enumerate(self.images):
+                row = other.rows[z]
+                sums[y] = row if sums[y] is None else tuple(map(add, sums[y], row))
+            zero = (ZERO,) * self.n
+            return OperatorMatrix(tuple(zero if row is None else row for row in sums))
         return OperatorMatrix(rational.mat_mul(self.rows, other.rows))
 
     def _check_size(self, n: int) -> None:
@@ -94,13 +135,20 @@ class OperatorMatrix:
         return rational.mat_vec(self.rows, vector)
 
     def max_entry_distance(self, other: "OperatorMatrix") -> Fraction:
-        return rational.max_abs((self - other).rows)
+        """max |a - b| over the entries, exactly: both matrices as integers
+        over one common denominator d, and one ``Fraction`` of the largest
+        integer difference over d."""
+        self._check_size(other.n)
+        d, scaled = rational.integer_form([*chain(*self.rows), *chain(*other.rows)])
+        half = len(scaled) // 2
+        return Fraction(max(map(abs, map(sub, scaled[:half], scaled[half:])), default=0), d)
 
 
 def convex_combination(weighted) -> OperatorMatrix:
     """Exact sum of (matrix, weight) pairs; weights must sum to 1.  The weights
-    of equal matrices are added, then one sparse ``mat_mul`` of the weight row
-    and the flattened distinct matrices gives every entry."""
+    of equal matrices are added.  If every distinct matrix is a pushforward,
+    the sum is ``pushforward`` of their maps; otherwise one sparse
+    ``mat_mul`` of the weight row and the flattened matrices gives every entry."""
     weighted = [(m, Fraction(w)) for m, w in weighted]
     total = sum(w for _, w in weighted)
     if total != 1 or any(w < 0 for _, w in weighted):
@@ -108,6 +156,8 @@ def convex_combination(weighted) -> OperatorMatrix:
     merged: dict[OperatorMatrix, Fraction] = {}
     for m, w in weighted:
         merged[m] = merged.get(m, ZERO) + w
+    if all(m.images is not None for m in merged):
+        return pushforward(merged.items())
     flat = [tuple(x for row in m.rows for x in row) for m in merged]
     (sums,) = rational.mat_mul([tuple(merged.values())], flat)
     n = weighted[0][0].n
@@ -150,10 +200,12 @@ class Measure:
 
 
 def pushforward(weighted) -> OperatorMatrix:
-    """Exact sum of w * A_t over (map, weight) pairs.  Column c of A_t is
-    the point mass at t(c), so each pair adds w to one entry per column."""
+    """Exact sum of w * A_t over (map, weight) pairs, where a map is anything
+    with an image tuple: a ``Transformation`` or a pushforward matrix.
+    Column c of A_t is the point mass at t(c), so each pair adds w to one
+    entry per column."""
     weighted = list(weighted)
-    n = weighted[0][0].degree
+    n = len(weighted[0][0].images)
     rows = [[ZERO] * n for _ in range(n)]
     for t, w in weighted:
         for c, r in enumerate(t.images):

@@ -7,6 +7,7 @@ callers convert to float only for display.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,8 +43,11 @@ def mat_sub(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def max_abs(a: Sequence[Row]) -> Fraction:
-    return max((abs(x) for row in a for x in row), default=ZERO)
+def integer_form(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(d, (d * x for x in xs)) for the least common denominator d of xs:
+    the entries as integers over one denominator."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -12,7 +12,10 @@ the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
 elements against it pair by pair.  ``abel`` is the earlier Abel mean that
 summed its own power loop, and ``power_counts`` the earlier Følner-box count
 of every power in a list of all N.  ``absorbs`` is the earlier zero identity check,
-one map at a time on the rows of Q.
+one map at a time on the rows of Q.  ``matmul``, ``convex_combination`` and
+``max_entry_distance`` are the earlier ``OperatorMatrix`` product, convex sum
+and distance, which multiplied, summed and subtracted ``Fraction`` entries
+whether or not a matrix is a pushforward.
 """
 
 from collections import Counter
@@ -22,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ergoscope import rational
 from ergoscope.cosgrid import GridLimitReport, GridModel, iterate_adjoint, pi_projection
 from ergoscope.nets import AbelMean, _power_bound, matrix_powers
 from ergoscope.operators import OperatorMatrix
@@ -87,6 +91,33 @@ def absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:
     for x, r in enumerate(images):
         sums[r] = [a + b for a, b in zip(sums[r], rows[x])]
     return all(tuple(s) == row for s, row in zip(sums, rows))
+
+
+def matmul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """A B by ``rational.mat_mul``, for every pair of matrices."""
+    return OperatorMatrix(rational.mat_mul(a.rows, b.rows))
+
+
+def convex_combination(weighted) -> OperatorMatrix:
+    """Exact sum of (matrix, weight) pairs: the weights of equal matrices are
+    added, then one sparse ``mat_mul`` of the weight row and the flattened
+    distinct matrices gives every entry."""
+    weighted = [(m, Fraction(w)) for m, w in weighted]
+    total = sum(w for _, w in weighted)
+    if total != 1 or any(w < 0 for _, w in weighted):
+        raise ValueError("weights must be nonnegative and sum to 1")
+    merged: dict[OperatorMatrix, Fraction] = {}
+    for m, w in weighted:
+        merged[m] = merged.get(m, ZERO) + w
+    flat = [tuple(x for row in m.rows for x in row) for m in merged]
+    (sums,) = rational.mat_mul([tuple(merged.values())], flat)
+    n = weighted[0][0].n
+    return OperatorMatrix(tuple(sums[i:i + n] for i in range(0, n * n, n)))
+
+
+def max_entry_distance(a: OperatorMatrix, b: OperatorMatrix) -> Fraction:
+    """The largest entry of |A - B|, by ``Fraction`` subtraction."""
+    return max((abs(x) for row in (a - b).rows for x in row), default=ZERO)
 
 
 def principal_ideal(sg: TransSemigroup, a: int) -> frozenset[int]:

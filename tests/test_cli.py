@@ -401,6 +401,33 @@ def test_stdout_bytes_are_pinned(tmp_path, name, command):
     assert digest == STDOUT_SHA256[name, command]
 
 
+# SHA-256 of the defect CSVs of the Abel and one-sided Cesàro nets, recorded
+# before products of pushforwards ran on their maps.
+TRACE_SHA256 = {
+    ("CYCLIC", "abel", "two_sided"):
+        "7cfc6d0efa791beb2bc7909e2ab9e4ef8996310d3594945103e657737d34e934",
+    ("CYCLIC", "cesaro", "left"):
+        "26b2ef1804c6863bf70f734fede1f1e7fa2a87f55a25267bf6431172a42b9749",
+    ("CYCLIC", "cesaro", "right"):
+        "4feb2bb823dc41b6fe8c0b8c2730ce33f7dd23fdd52e4f94132de7fe4a6ce950",
+    ("TWO_FIXED", "abel", "two_sided"):
+        "e9acc889b69bcb570649685fbbda51e343d10206ae4e53a611cb27aa5d1cc449",
+    ("TWO_FIXED", "cesaro", "left"):
+        "39cd273a401ee1e82bfa56c96d988fa33553862b3627dede1a1073ba6ca6957b",
+    ("TWO_FIXED", "cesaro", "right"):
+        "042ea50527180bc7c30c166fe6e1d8b8ec242d44bf0ed96341e73264824b73fe",
+}
+
+
+@pytest.mark.parametrize("name, net, side", sorted(TRACE_SHA256))
+def test_trace_csv_bytes_are_pinned(tmp_path, name, net, side):
+    args = ["trace", write_descriptor(tmp_path, globals()[name]), "--net", net, "--side", side]
+    result = run_cli(args)
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == TRACE_SHA256[name, net, side]
+
+
 @pytest.mark.parametrize("name", sorted(REPRODUCE_SHA256))
 def test_reproduce_bytes_are_pinned(tmp_path, name):
     from ergoscope.subshift import block_boundary

@@ -148,8 +148,8 @@ def test_matrix_powers_of_a_contraction_never_repeat(diagonal, count):
         tuple(diagonal[i] if i == j else ZERO for j in range(n)) for i in range(n)
     ))
     products = []
-    mul = rational.mat_mul
-    with mock.patch.object(rational, "mat_mul",
+    mul = OperatorMatrix.__matmul__
+    with mock.patch.object(OperatorMatrix, "__matmul__",
                            lambda a, b: products.append(1) or mul(a, b)):
         powers = matrix_powers(m, count)
     assert powers == ref_powers(m, count)
