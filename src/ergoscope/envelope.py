@@ -63,6 +63,7 @@ class Verdict(enum.Enum):
 
 
 VERIFY_ALL_MAX = 1000                    # verify zero identities on all elements
+MINIMAL_CHECK_NS = (4, 8, 16, 32)        # Følner box sides of minimal_unique_check
 PUSH_BLOCK = 1 << 20                     # entries per pushforward block in _absorbed
 
 
@@ -380,8 +381,8 @@ class MinimalUniqueCheck:
     final_distance: Fraction
 
 
-def minimal_unique_check(sys: FiniteSystem, ns=(4, 8, 16, 32)) -> MinimalUniqueCheck:
-    """Minimal commuting system: averaging converges and the measure is unique."""
+def minimal_unique_check(sys: FiniteSystem) -> MinimalUniqueCheck:
+    """Minimal commuting system: the net over MINIMAL_CHECK_NS converges, the measure is unique."""
     msets = minimal_sets(sys)
     if len(msets) != 1 or msets[0] != frozenset(range(sys.n)):
         raise ValueError("system is not minimal")
@@ -399,9 +400,9 @@ def minimal_unique_check(sys: FiniteSystem, ns=(4, 8, 16, 32)) -> MinimalUniqueC
         p, q, _ = power_periodicity(g)
         constant += p + q
     adjoints = [adjoint_matrix(g) for g in sys.generator_maps]
-    net = folner_net(adjoints, ns)
+    net = folner_net(adjoints, MINIMAL_CHECK_NS)
     distance = net.steps[-1].matrix.max_entry_distance(cert.matrix)
-    converged = distance <= Fraction(sys.n * constant, ns[-1])
+    converged = distance <= Fraction(sys.n * constant, MINIMAL_CHECK_NS[-1])
     assert converged, "Følner averages failed to approach the zero element"
     return MinimalUniqueCheck(measures[0], converged, distance)
 

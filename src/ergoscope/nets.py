@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .operators import OperatorMatrix, convex_combination
@@ -56,9 +56,10 @@ def cesaro(m: OperatorMatrix, n: int) -> OperatorMatrix:
 
 
 def _power_bound(m: OperatorMatrix) -> Fraction:
-    if m.row_stochastic:
-        return Fraction(1)
-    if m.diagonal and all(0 <= m.rows[i][i] <= 1 for i in range(m.n)):
+    """1 if M >= 0 has every row sum or every column sum at most 1: products
+    keep both, so every power of M has entries in [0, 1].  Pushforwards qualify."""
+    if all(x >= 0 for row in m.rows for x in row) and any(
+            all(sum(line) <= 1 for line in lines) for lines in (m.rows, zip(*m.rows))):
         return Fraction(1)
     raise ValueError(
         "no a-priori power bound for this matrix; Abel means need one"
@@ -75,10 +76,11 @@ class AbelMean:
 def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
     """Truncated Abel mean (r-1) * sum r^-(n+1) M^n with a tail bound.
 
-    Truncates at the least ``terms`` >= 1 whose geometric remainder is at
-    most ``tail_tol`` in max-entry norm.  The truncated weights sum to
-    1 - r^-terms, so the sum is that total times the :func:`abel_net` step
-    at r over ``terms`` powers, which renormalizes the same weights.
+    Needs the power bound of :func:`_power_bound`, and truncates at the
+    least ``terms`` >= 1 whose geometric remainder is at most ``tail_tol``
+    in max-entry norm.  The truncated weights sum to 1 - r^-terms, so the
+    sum is that total times the :func:`abel_net` step at r over ``terms``
+    powers, which renormalizes the same weights.
     """
     r = Fraction(r)
     tail_tol = Fraction(tail_tol)
@@ -121,8 +123,8 @@ class NetSample:
         return [s.matrix for s in self.steps]
 
 
-def cesaro_net(m: OperatorMatrix, ns, label: str = "cesaro") -> NetSample:
-    return folner_net([m], ns, label)
+def cesaro_net(m: OperatorMatrix, ns) -> NetSample:
+    return folner_net([m], ns, "cesaro")
 
 
 def folner_net(generators, ns, label: str = "folner") -> NetSample:
@@ -163,7 +165,7 @@ def folner_net(generators, ns, label: str = "folner") -> NetSample:
     return NetSample(tuple(steps))
 
 
-def abel_net(m: OperatorMatrix, rs, terms: int = 24, label: str = "abel") -> NetSample:
+def abel_net(m: OperatorMatrix, rs, terms: int = 24) -> NetSample:
     """Abel-style net with weights renormalized over a truncation window.
 
     The raw Abel sum truncates to total weight below one; renormalizing
@@ -179,12 +181,12 @@ def abel_net(m: OperatorMatrix, rs, terms: int = 24, label: str = "abel") -> Net
         raw = [r ** -(k + 1) for k in range(terms)]
         total = sum(raw)
         combo = tuple((p, w / total) for p, w in zip(powers, raw))
-        steps.append(NetStep(f"{label} r={r}", convex_combination(combo), combo))
+        steps.append(NetStep(f"abel r={r}", convex_combination(combo), combo))
     return NetSample(tuple(steps))
 
 
-def constant_net(m: OperatorMatrix, combination, count: int, label: str = "const") -> NetSample:
-    step = lambda i: NetStep(f"{label} #{i}", m, tuple(combination))
+def constant_net(m: OperatorMatrix, combination, count: int) -> NetSample:
+    step = lambda i: NetStep(f"const #{i}", m, tuple(combination))
     return NetSample(tuple(step(i) for i in range(count)))
 
 
@@ -230,11 +232,12 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
 
     The left defect of a step M against a generator g is the largest entry
     of (I - g) M, read as M.max_entry_distance(g @ M); the right one is that
-    of M (I - g), read as M.max_entry_distance(M @ g).  Verdict is "ergodic"
-    if the worst defect over the trailing ``window`` steps is at most
-    ``tol``, "not_ergodic" if those defects sit above ``tol`` without
-    improving, and "undetermined" otherwise.  A finite sample can never
-    certify more than this.
+    of M (I - g), read as M.max_entry_distance(M @ g).  The status is read
+    off the last ``window`` entries of ``worst_by_step()``: "ergodic" if all
+    are at most ``tol``, "not_ergodic" if all sit above ``tol`` and the last
+    is no smaller than the first, and "undetermined" otherwise, also when the
+    net has fewer than ``window`` steps.  A finite sample can never certify
+    more than this.
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError("side must be left, right or two_sided")
@@ -249,17 +252,12 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
                 defect = m.max_entry_distance(g @ m if s == "left" else m @ g)
                 trace.append(DefectRecord(i, step.descriptor, f"g{k}", s, defect))
     verdict = NetVerdict("undetermined", side, tuple(trace))
-    worst_by_step = verdict.worst_by_step()
-    if len(worst_by_step) < window:
-        return verdict
-    tail = worst_by_step[-window:]
-    if all(d <= tol for d in tail):
-        status = "ergodic"
-    elif all(d > tol for d in tail) and tail[-1] >= tail[0]:
-        status = "not_ergodic"
-    else:
-        status = "undetermined"
-    return NetVerdict(status, side, tuple(trace))
+    tail = verdict.worst_by_step()[-window:]
+    if len(tail) == window and all(d <= tol for d in tail):
+        return replace(verdict, status="ergodic")
+    if len(tail) == window and all(d > tol for d in tail) and tail[-1] >= tail[0]:
+        return replace(verdict, status="not_ergodic")
+    return verdict
 
 
 def detect_limit(trace, tol, window: int = 3):
@@ -274,7 +272,7 @@ def detect_limit(trace, tol, window: int = 3):
     def dist(a, b):
         if isinstance(a, OperatorMatrix):
             return a.max_entry_distance(b)
-        return max((abs(x - y) for x, y in zip(a.weights, b.weights)), default=ZERO)
+        return max((abs(x - y) for x, y in zip(a.weights, b.weights, strict=True)), default=ZERO)
 
     for i, a in enumerate(tail):
         for b in tail[i + 1:]:

@@ -157,7 +157,9 @@ def convex_combination(weighted) -> OperatorMatrix:
     for m, w in weighted:
         merged[m] = merged.get(m, ZERO) + w
     if all(m.images is not None for m in merged):
-        return pushforward(merged.items())
+        return pushforward(merged.items())  # which checks the sizes of the maps
+    for m in merged:
+        weighted[0][0]._check_size(m.n)
     flat = [tuple(x for row in m.rows for x in row) for m in merged]
     (sums,) = rational.mat_mul([tuple(merged.values())], flat)
     n = weighted[0][0].n
@@ -196,7 +198,7 @@ class Measure:
 
     def pairing(self, f: Row) -> Fraction:
         """<f, mu> = sum f(x) mu({x})."""
-        return sum(a * b for a, b in zip(f, self.weights))
+        return sum(a * b for a, b in zip(f, self.weights, strict=True))
 
 
 def pushforward(weighted) -> OperatorMatrix:
@@ -208,6 +210,8 @@ def pushforward(weighted) -> OperatorMatrix:
     n = len(weighted[0][0].images)
     rows = [[ZERO] * n for _ in range(n)]
     for t, w in weighted:
+        if len(t.images) != n:
+            raise ValueError(f"size mismatch: {n}-state and {len(t.images)}-state maps")
         for c, r in enumerate(t.images):
             rows[r][c] += w
     return OperatorMatrix(tuple(map(tuple, rows)))
@@ -257,6 +261,7 @@ def fixed_space(matrices) -> tuple[Row, ...]:
     stacked = []
     eye = rational.identity_rows(n)
     for m in matrices:
+        matrices[0]._check_size(m.n)
         stacked.extend(rational.mat_sub(m.rows, eye))
     return rational.nullspace(stacked, n)
 
@@ -276,7 +281,7 @@ def separation_check(fix_functions, fix_measures) -> bool:
     if not fix_functions:
         return False
     gram = [
-        tuple(sum(a * b for a, b in zip(f, mu)) for mu in fix_measures)
+        tuple(sum(a * b for a, b in zip(f, mu, strict=True)) for mu in fix_measures)
         for f in fix_functions
     ]
     return rational.rank(gram) == len(fix_measures)

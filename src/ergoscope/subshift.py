@@ -33,10 +33,9 @@ _SYMBOL = (b"\x00", b"\x01")
 
 @dataclass(frozen=True)
 class BinaryWord:
-    """A finite 0/1 word stored as alternating (bit, length) runs."""
+    """A finite 0/1 word, stored and compared as alternating (bit, length) runs."""
 
     runs: tuple[tuple[int, int], ...]
-    origin: str = "user"
 
     def __post_init__(self):
         if not self.runs:
@@ -49,12 +48,12 @@ class BinaryWord:
                 raise ValueError("runs must alternate")
 
     @classmethod
-    def from_bits(cls, bits, origin: str = "user") -> "BinaryWord":
-        return cls(tuple((b, len(list(run))) for b, run in groupby(map(int, bits))), origin)
+    def from_bits(cls, bits) -> "BinaryWord":
+        return cls(tuple((b, len(list(run))) for b, run in groupby(map(int, bits))))
 
     @classmethod
-    def from_string(cls, text: str, origin: str = "user") -> "BinaryWord":
-        return cls.from_bits(text, origin)
+    def from_string(cls, text: str) -> "BinaryWord":
+        return cls.from_bits(text)
 
     @cached_property
     def starts(self) -> tuple[int, ...]:
@@ -97,7 +96,7 @@ class BinaryWord:
         check_int(n, "prefix length", 1, self.length + 1)
         k = bisect_left(self.starts, n)  # the runs starting before n
         bit, _ = self.runs[k - 1]
-        return BinaryWord(self.runs[:k - 1] + ((bit, n - self.starts[k - 1]),), self.origin)
+        return BinaryWord(self.runs[:k - 1] + ((bit, n - self.starts[k - 1]),))
 
     def bits(self) -> list[int]:
         """Materialize; refuse absurd sizes."""
@@ -134,7 +133,7 @@ def rolandex_prefix(length: int) -> BinaryWord:
         runs.append((0, 10**n))
         total += n + 10**n
         n += 1
-    return BinaryWord(tuple(runs), origin="rolandex").prefix(length)
+    return BinaryWord(tuple(runs)).prefix(length)
 
 
 @dataclass(frozen=True)
@@ -310,15 +309,16 @@ FIRST_COORDINATE = CylinderFunction(1, (Fraction(0), Fraction(1)))
 def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction]:
     """Exact averages (1/N) sum_{n<N} f(shift^n word) for each N.
 
-    Needs max(N) + depth - 1 <= word length so every window is observed.
+    Needs max(N) + max(depth, 1) - 1 <= word length so every window is observed.
     """
     n_list = list(n_list)
     depth = f.depth
+    span = max(depth, 1)
     if not n_list:
         return []
     for n in n_list:
         check_int(n, "N", 1)
-    if max(n_list) + depth - 1 > word.length:
+    if max(n_list) + span - 1 > word.length:
         raise ValueError("word too short for the requested trace")
     crossing = {}
     for lo, symbols in _crossing_segments(word, depth, max(n_list)):
@@ -329,12 +329,12 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
     by_n = {}
     for n in set(n_list):
         total = sum((v for p, v in crossing.items() if p < n), Fraction(0))
-        # A window starting in [lo, hi - depth] lies inside the run
+        # A window starting in [lo, hi - span] lies inside the run
         # [lo, hi), so it is no crossing position.
         for lo, hi, (bit, _) in zip(starts, starts[1:], word.runs):
             if lo >= n:
                 break
-            count = min(hi - depth, n - 1) - lo + 1
+            count = min(hi - span, n - 1) - lo + 1
             if count > 0:
                 total += count * f_const[bit]
         by_n[n] = total / n

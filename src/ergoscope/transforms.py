@@ -81,10 +81,13 @@ class Transformation:
         return Transformation(tuple(self.images[y] for y in other.images))
 
     def power(self, k: int) -> "Transformation":
+        """self composed k times in O(log k) compositions, by squaring."""
         check_int(k, "k", 0)
-        result = Transformation.identity(self.degree)
-        for _ in range(k):
-            result = self.compose(result)
+        result, square = Transformation.identity(self.degree), self
+        while k:
+            if k & 1:
+                result = square.compose(result)
+            square, k = square.compose(square), k >> 1
         return result
 
     @property

@@ -15,7 +15,8 @@ of every power in a list of all N.  ``absorbs`` is the earlier zero identity che
 one map at a time on the rows of Q.  ``matmul``, ``convex_combination`` and
 ``max_entry_distance`` are the earlier ``OperatorMatrix`` product, convex sum
 and distance, which multiplied, summed and subtracted ``Fraction`` entries
-whether or not a matrix is a pushforward.
+whether or not a matrix is a pushforward.  ``power`` is the earlier
+``Transformation.power``, one composition per factor.
 """
 
 from collections import Counter
@@ -70,6 +71,14 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
         acc = acc + power.scale(coeff)
         coeff = coeff / r
     return AbelMean(acc, terms, bound / r**terms)
+
+
+def power(t: Transformation, k: int) -> Transformation:
+    """t composed k times, one composition at a time."""
+    result = Transformation.identity(t.degree)
+    for _ in range(k):
+        result = t.compose(result)
+    return result
 
 
 def power_counts(m: OperatorMatrix, n: int) -> Counter:
@@ -216,7 +225,7 @@ def weak_star_limit_check(model: GridModel, mu: np.ndarray, tol: float,
     )
 
 
-def from_bits(bits, origin: str = "user") -> BinaryWord:
+def from_bits(bits) -> BinaryWord:
     """BinaryWord.from_bits, extending the last run one symbol at a time."""
     runs: list[list[int]] = []
     for b in bits:
@@ -225,7 +234,7 @@ def from_bits(bits, origin: str = "user") -> BinaryWord:
             runs[-1][1] += 1
         else:
             runs.append([b, 1])
-    return BinaryWord(tuple((b, c) for b, c in runs), origin)
+    return BinaryWord(tuple((b, c) for b, c in runs))
 
 
 def prefix(word: BinaryWord, n: int) -> BinaryWord:
@@ -238,7 +247,7 @@ def prefix(word: BinaryWord, n: int) -> BinaryWord:
         remaining -= take
         if remaining == 0:
             break
-    return BinaryWord(tuple(runs), word.origin)
+    return BinaryWord(tuple(runs))
 
 
 @dataclass

@@ -195,8 +195,8 @@ def test_alternating_kernel_net_left_ergodic_not_convergent():
     a1, a2 = adjoint_matrix(q1), adjoint_matrix(q2)
     gens = [a1, a2]
     net = interleave(
-        constant_net(a1, [(a1, F(1))], 4, "q1"),
-        constant_net(a2, [(a2, F(1))], 4, "q2"),
+        constant_net(a1, [(a1, F(1))], 4),
+        constant_net(a2, [(a2, F(1))], 4),
     )
     verdict = verify_net(net, gens, "left", 0)
     assert verdict.status == "ergodic"

@@ -31,7 +31,6 @@ def test_rolandex_prefix_start():
     # One 1, ten 0s, then 1, 1.
     word = rolandex_prefix(13)
     assert word.factor(0, 13) == (1,) + (0,) * 10 + (1, 1)
-    assert word.origin == "rolandex"
 
 
 def test_rolandex_ones_density():
@@ -61,7 +60,6 @@ def test_binary_word_round_trip():
     assert word.bit(4) == 1
     assert word.factor(2, 3) == (0, 1, 1)
     assert word.prefix(4).bits() == [0, 1, 0, 1]
-    assert BinaryWord.from_string("0101101", origin="file").origin == "file"
 
 
 def test_window_closure_alternating():

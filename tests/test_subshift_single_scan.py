@@ -240,7 +240,6 @@ def test_rolandex_prefix_matches_truncated_runs(length):
     word = rolandex_prefix(length)
     assert word.runs == old_rolandex_runs(length)
     assert word.length == length
-    assert word.origin == "rolandex"
 
 
 @settings(max_examples=200, deadline=None)
