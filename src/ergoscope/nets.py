@@ -186,16 +186,13 @@ def abel_net(m: OperatorMatrix, rs, terms: int = 24) -> NetSample:
 
 
 def constant_net(m: OperatorMatrix, combination, count: int) -> NetSample:
-    step = lambda i: NetStep(f"const #{i}", m, tuple(combination))
-    return NetSample(tuple(step(i) for i in range(count)))
+    check_int(count, "count", 1)
+    return NetSample(tuple(NetStep(f"const #{i}", m, tuple(combination)) for i in range(count)))
 
 
 def interleave(a: NetSample, b: NetSample) -> NetSample:
-    steps = []
-    for x, y in zip(a.steps, b.steps):
-        steps.append(x)
-        steps.append(y)
-    return NetSample(tuple(steps))
+    """a_0, b_0, a_1, b_1, ...; nets of different lengths raise ValueError."""
+    return NetSample(tuple(x for pair in zip(a.steps, b.steps, strict=True) for x in pair))
 
 
 @dataclass(frozen=True)
@@ -264,6 +261,8 @@ def detect_limit(trace, tol, window: int = 3):
     """Last element if the trailing window is tol-clustered, else None."""
     _check_window(window, 2)
     trace = list(trace)
+    if len({isinstance(x, OperatorMatrix) for x in trace}) > 1:
+        raise ValueError("trace mixes matrices and measures")
     if len(trace) < window:
         return None
     tol = Fraction(tol)

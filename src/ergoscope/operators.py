@@ -8,6 +8,7 @@ module is exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -88,12 +89,6 @@ class OperatorMatrix:
     def column_stochastic(self) -> bool:
         return self.transpose().row_stochastic
 
-    @cached_property
-    def diagonal(self) -> bool:
-        return all(
-            x == 0 for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j
-        )
-
     def transpose(self) -> "OperatorMatrix":
         return OperatorMatrix(tuple(zip(*self.rows)))
 
@@ -145,25 +140,12 @@ class OperatorMatrix:
 
 
 def convex_combination(weighted) -> OperatorMatrix:
-    """Exact sum of (matrix, weight) pairs; weights must sum to 1.  The weights
-    of equal matrices are added.  If every distinct matrix is a pushforward,
-    the sum is ``pushforward`` of their maps; otherwise one sparse
-    ``mat_mul`` of the weight row and the flattened matrices gives every entry."""
+    """Exact sum of (matrix, weight) pairs whose weights are nonnegative
+    and sum to 1: ``pushforward`` of the pairs, after that check."""
     weighted = [(m, Fraction(w)) for m, w in weighted]
-    total = sum(w for _, w in weighted)
-    if total != 1 or any(w < 0 for _, w in weighted):
+    if sum(w for _, w in weighted) != 1 or any(w < 0 for _, w in weighted):
         raise ValueError("weights must be nonnegative and sum to 1")
-    merged: dict[OperatorMatrix, Fraction] = {}
-    for m, w in weighted:
-        merged[m] = merged.get(m, ZERO) + w
-    if all(m.images is not None for m in merged):
-        return pushforward(merged.items())  # which checks the sizes of the maps
-    for m in merged:
-        weighted[0][0]._check_size(m.n)
-    flat = [tuple(x for row in m.rows for x in row) for m in merged]
-    (sums,) = rational.mat_mul([tuple(merged.values())], flat)
-    n = weighted[0][0].n
-    return OperatorMatrix(tuple(sums[i:i + n] for i in range(0, n * n, n)))
+    return pushforward(weighted)
 
 
 @dataclass(frozen=True)
@@ -185,6 +167,8 @@ class Measure:
     @classmethod
     def uniform_on(cls, n: int, support) -> "Measure":
         support = sorted(set(support))
+        if not support:
+            raise ValueError("empty support")
         w = Fraction(1, len(support))
         return cls(tuple(w if i in support else ZERO for i in range(n)))
 
@@ -202,19 +186,33 @@ class Measure:
 
 
 def pushforward(weighted) -> OperatorMatrix:
-    """Exact sum of w * A_t over (map, weight) pairs, where a map is anything
-    with an image tuple: a ``Transformation`` or a pushforward matrix.
-    Column c of A_t is the point mass at t(c), so each pair adds w to one
-    entry per column."""
-    weighted = list(weighted)
-    n = len(weighted[0][0].images)
-    rows = [[ZERO] * n for _ in range(n)]
-    for t, w in weighted:
-        if len(t.images) != n:
-            raise ValueError(f"size mismatch: {n}-state and {len(t.images)}-state maps")
-        for c, r in enumerate(t.images):
-            rows[r][c] += w
-    return OperatorMatrix(tuple(map(tuple, rows)))
+    """Exact sum of w * M over (operator, weight) pairs, whatever the weights
+    sum to; an operator is a map t (a ``Transformation`` or a pushforward A_t)
+    or any other ``OperatorMatrix``.  The weights become integers k over one
+    denominator D that also clears the other matrices' ``scaled_columns``: a
+    map adds k to entry (t(c), c) of each column c, any other matrix adds k * x
+    to each entry x, and each entry is one ``Fraction(sum, D)``, or ``ZERO``."""
+    weighted = [(m, Fraction(w)) for m, w in weighted]
+    if not weighted:
+        raise ValueError("need at least one weighted operator")
+    e = math.lcm(*(dc for m, _ in weighted if m.images is None for dc, _ in m.scaled_columns))
+    d, ks = rational.integer_form([w for _, w in weighted])
+    n = len(weighted[0][0].images or weighted[0][0].rows)
+    cols = [[0] * n for _ in range(n)]
+    for (m, _), k in zip(weighted, ks):
+        t, k = m.images, k * e
+        if len(t or m.rows) != n:
+            raise ValueError(f"size mismatch: {n}-state and {len(t or m.rows)}-state operators")
+        if t is not None:
+            for col, r in zip(cols, t):
+                col[r] += k
+        else:
+            for col, (dc, scaled) in zip(cols, m.scaled_columns):
+                f = k // dc
+                for r, x in enumerate(scaled):
+                    col[r] += f * x
+    d *= e
+    return OperatorMatrix(tuple(zip(*([Fraction(s, d) if s else ZERO for s in col] for col in cols))))
 
 
 def adjoint_matrix(t: Transformation) -> OperatorMatrix:

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .transforms import Transformation
+from .transforms import Transformation, check_int
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ class FiniteSystem:
 
 
 def cyclic_shift_system(n: int, name: str = "") -> FiniteSystem:
+    check_int(n, "n", 1)
     shift = Transformation(tuple((i + 1) % n for i in range(n)))
     return FiniteSystem(tuple(str(i) for i in range(n)), (("shift", shift),),
                         name=name or f"cyclic-{n}")
@@ -116,6 +117,7 @@ class Orbit:
 
 
 def orbit(sys: FiniteSystem, x: int) -> Orbit:
+    check_int(x, "state", float("-inf"))
     if not (0 <= x < sys.n):
         raise ValueError(f"state {x} out of range")
     return Orbit(x, sys.reach[x] | {x}, sys.reach[x])
@@ -154,8 +156,8 @@ def is_transitive(sys: FiniteSystem) -> int | None:
 
 def random_system(n: int, g: int, commuting: bool = False, seed: int = 0) -> FiniteSystem:
     """Seeded pseudo-random system; commuting draws powers of one map."""
-    if n < 1 or g < 1:
-        raise ValueError("need n >= 1 and g >= 1")
+    check_int(n, "n", 1)
+    check_int(g, "g", 1)
     rng = random.Random(seed)
     gens = []
     if commuting:

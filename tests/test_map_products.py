@@ -2,10 +2,10 @@
 
 ``OperatorMatrix.images`` reads the map t off a pushforward A_t, so ``@``
 composes, gathers columns or sums rows instead of multiplying entries,
-``convex_combination`` of pushforwards is ``pushforward`` of their maps, and
-``max_entry_distance`` compares integers over one common denominator.  The
-references in ``oracles`` are the earlier ``Fraction`` product, convex sum
-and distance.
+``convex_combination`` is ``pushforward``, one sum of integer weights over
+their common denominator, and ``max_entry_distance`` compares integers over
+one common denominator.  The references in ``oracles`` are the earlier
+``Fraction`` product, convex sum and distance.
 """
 
 from fractions import Fraction
@@ -23,6 +23,7 @@ from ergoscope.operators import (
     adjoint_matrix,
     convex_combination,
     koopman_matrix,
+    pushforward,
 )
 from ergoscope.systems import cyclic_shift_system, random_system
 from ergoscope.transforms import Transformation
@@ -117,24 +118,49 @@ def test_products_of_mismatched_sizes_name_both(a, b):
 
 # Averages and distances.
 
+def as_matrix(op):
+    return adjoint_matrix(op) if isinstance(op, Transformation) else op
+
+
+# As large as the Abel weights' denominators, r**24 for r up to 8.
+BIG = 8 ** 24
+
+
 @st.composite
 def weighted(draw):
-    """Weighted matrices with repeats, from a pool of pushforwards, general
-    matrices or both."""
+    """Weighted operators with repeats and zero weights, from a pool of
+    maps, pushforwards, general matrices or all three; the weights are
+    drawn over denominators up to about 8 * BIG."""
     n = draw(st.integers(1, 6))
-    kinds = draw(st.sampled_from([("map",), ("general",), ("map", "general")]))
-    pool = [draw(operands(n, kind)) for kind in kinds for _ in range(draw(st.integers(1, 3)))]
+    kinds = draw(st.sampled_from([("map",), ("general",), ("map", "general"),
+                                  ("transformation", "map", "general")]))
+    pool = [draw(maps(n) if kind == "transformation" else operands(n, kind))
+            for kind in kinds for _ in range(draw(st.integers(1, 3)))]
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-    raw = draw(st.lists(st.integers(0, 7), min_size=len(picks), max_size=len(picks)))
+    size = len(picks)
+    raw = draw(st.lists(st.one_of(st.integers(0, 7), st.integers(0, BIG)),
+                        min_size=size, max_size=size))
     assume(sum(raw) > 0)
     return [(m, F(r, sum(raw))) for m, r in zip(picks, raw)]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(weighted())
 def test_convex_combination_matches_the_fraction_sum(pairs):
     result = convex_combination(pairs)
-    assert result == oracles.convex_combination(pairs)
+    assert result == oracles.convex_combination((as_matrix(m), w) for m, w in pairs)
+    assert_fractions(result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(maps(n), st.one_of(st.integers(0, 7), st.integers(0, BIG))), min_size=1, max_size=8)))
+def test_pushforward_of_maps_matches_the_fraction_sum(raw):
+    total = sum(r for _, r in raw)
+    assume(total > 0)
+    pairs = [(t, F(r, total)) for t, r in raw]
+    result = pushforward(pairs)
+    assert result == oracles.convex_combination((adjoint_matrix(t), w) for t, w in pairs)
     assert_fractions(result)
 
 
@@ -198,7 +224,7 @@ def test_classify_scales_each_column_of_the_zero_once(monkeypatch, sys_):
     monkeypatch.setattr(rational, "integer_form", lambda xs: calls.append(1) or scale(xs))
     report = classify(sys_)
     assert report.zero.status == "found"
-    assert len(calls) == sys_.n
+    assert len(calls) == sys_.n + 1     # the columns, and the witness weights once
 
 
 # The trailing window.
