@@ -89,33 +89,48 @@ def iterate_adjoint(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
 def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     """n single steps x <- fl(x * d), asserting bit-exact pi-mass invariance at each.
 
-    Fixed points: each entry is its own recurrence, and a multiply is a
-    deterministic function of its operands, so an entry whose step leaves
-    its bits unchanged (with d > 0: +-0, +-inf, NaN, a subnormal that
-    x * d rounds back to x) keeps them at every later step.  Such off-pi
-    entries leave the live set, compared bitwise on the ``uint64`` view
-    of the last two rows a block computed; the pi entries never leave.
+    Distinct entries: each entry is its own recurrence, and a multiply is
+    a deterministic function of its operands, so two entries whose start
+    value and diagonal entry have the same bits have the same bits at
+    every step.  Only one entry per distinct pair, keyed on the ``uint64``
+    bits of both, is stepped; the result is scattered back to the grid.
+    |cos| has period pi and mirrors about pi/2, so many grid entries
+    collapse: a uniform mu on ``build_grid(2, 100)`` has 152 distinct pairs
+    in 201 entries.
+
+    Fixed points: an entry whose step leaves its bits unchanged (with
+    d > 0: +-0, +-inf, NaN, a subnormal that x * d rounds back to x) keeps
+    them at every later step.  Such off-pi entries leave the live set,
+    compared bitwise on the ``uint64`` view of the last two rows a block
+    computed; the pi entries never leave.
 
     Loop order: the steps run in blocks of rows of one buffer of at most
-    1 MiB; when two grid rows do not fit, one row is stepped in place and
-    nothing leaves, as there are no two rows to compare.  A block over
-    fewer than ``ACCUMULATE_BELOW`` live entries is one
-    ``np.multiply.accumulate`` down the step axis, which rounds strictly
-    in step order, so its bits are those of the step loop that runs a
-    wider block, one ``np.multiply`` per step.  After each block the pi
-    entries of every step are compared with mu.  The bit comparison runs
-    after a block that ends ``CHECK_STEPS`` or more steps past the last
-    one, and it drops the fixed entries when they would take at least
-    ``COMPACT_COST`` times the live count in multiplies over the steps
-    left, about what a compaction costs.
+    1 MiB; when two rows of distinct entries do not fit, one row is
+    stepped in place and nothing leaves, as there are no two rows to
+    compare.  A block over fewer than ``ACCUMULATE_BELOW`` live entries is
+    one ``np.multiply.accumulate`` down the step axis, which rounds
+    strictly in step order, so its bits are those of the step loop that
+    runs a wider block, one ``np.multiply`` per step.  After each block
+    the pi entries of every step are compared with mu.  The bit
+    comparison runs after a block that ends ``CHECK_STEPS`` or more steps
+    past the last one, and it drops the fixed entries when they would
+    take at least ``COMPACT_COST`` times the live count in multiplies over
+    the steps left, about what a compaction costs.
     """
     _check_measure(model, mu)
     check_int(n, "n", 0)
-    out = mu.astype(float)
-    pi_mass = mu[model.pi_indices]
+    values = mu.astype(float)
+    # A 1-D unique over 16-byte keys: np.unique(axis=0) would call np.multiply.
+    keys = np.stack([values.view(np.uint64), model.diagonal.view(np.uint64)], axis=1)
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, 16))).ravel(),
+                                  return_index=True, return_inverse=True)
+    out = values[first]
+    # Sorted and without repeats; np.unique here would import numpy.ma.
+    pi_reps = np.array(sorted(set(inverse[model.pi_indices].tolist())))
+    pi_mass = out[pi_reps]
     live = np.arange(len(out))
-    pi_pos = model.pi_indices
-    diagonal = model.diagonal
+    pi_pos = pi_reps
+    diagonal = model.diagonal[first]
     start = out
     buf = np.empty(max(len(out), min(STEP_BUFFER, n * len(out))))
     done = checked = 0
@@ -139,10 +154,10 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
             if (len(live) - np.count_nonzero(moved)) * (n - done) >= COMPACT_COST * len(live):
                 out[live] = start
                 live, start, diagonal = live[moved], start[moved], diagonal[moved]
-                pi_pos = live.searchsorted(model.pi_indices)
+                pi_pos = live.searchsorted(pi_reps)
     # A slice copies where the full index array would scatter.
     out[live if len(live) < len(out) else slice(None)] = start
-    return out
+    return out[inverse]
 
 
 def pi_projection(model: GridModel, mu: np.ndarray) -> np.ndarray:
@@ -163,13 +178,9 @@ def cesaro_adjoint(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     check_int(n, "n", 1)
     d = model.diagonal
     off = d != 1.0
-    return _geometric_mean(mu, d**n, n, off, 1.0 - d[off])
-
-
-def _geometric_mean(mu, dn, n, off, gap):
-    """(1/n) sum_{k<n} D^k mu from dn = d**n and gap = 1 - d[off]."""
+    dn = d**n
     sums = np.full_like(dn, float(n))
-    sums[off] = (1.0 - dn[off]) / gap
+    sums[off] = (1.0 - dn[off]) / (1.0 - d[off])
     return mu * sums / n
 
 
@@ -191,11 +202,17 @@ def weak_star_limit_check(model: GridModel, mu: np.ndarray, tol: float,
     norm; the first checked n achieving it is reported for each, on a
     doubling schedule.  Powers converge geometrically but Cesàro
     averages only like 1/n, so their n is much larger; the closed form
-    in :func:`cesaro_adjoint` keeps that evaluation cheap.  Each n computes
-    d^n once for both, skipping entries where d^(n/2) underflowed: fl(d^m)
-    = 0 means d^m < 2^-1074, so d^(2m) < 2^-2148 rounds to 0 too.  When mu has
-    no mass on multiples of pi the limit is the zero vector: total mass
-    is lost and the limit is not a probability measure.
+    in :func:`cesaro_adjoint` keeps that evaluation cheap.
+
+    Each n computes d^n once for both, and only for the off-pi entries
+    whose power has not underflowed, held as a compacted index with their
+    d and gap 1 - d: fl(d^m) = 0 means d^m < 2^-1074, so d^(2m) < 2^-2148
+    rounds to 0 too, and such an entry keeps the geometric sum 1/gap, the
+    bits of (1 - 0)/gap.  Both distances are summed over the whole grid
+    in grid order, through one reused buffer, so pairwise summation sees
+    the same terms in the same places as the direct formulas.  When mu
+    has no mass on multiples of pi the limit is the zero vector: total
+    mass is lost and the limit is not a probability measure.
     """
     if not tol >= 0:
         raise ValueError("need tol >= 0")
@@ -203,23 +220,35 @@ def weak_star_limit_check(model: GridModel, mu: np.ndarray, tol: float,
     _check_measure(model, mu)
     d = model.diagonal
     off = d != 1.0
-    gap = 1.0 - d[off]
+    fixed = np.flatnonzero(~off)
+    live = np.flatnonzero(off)
+    d_live = d[live]
+    gap_live = 1.0 - d_live
     dn = np.ones_like(d)
+    sums = np.empty_like(d)
+    terms = np.empty_like(d)
     target = pi_projection(model, mu)
     n_power = n_cesaro = None
     n = 1
     power_dist = cesaro_dist = float("inf")
     while n <= max_n and (n_power is None or n_cesaro is None):
-        live = dn != 0.0
-        dn[live] = d[live] ** n
+        y = d_live ** n
+        dn[live] = y
+        keep = y != 0.0
+        np.subtract(1.0, y, out=y)
+        sums[live] = np.divide(y, gap_live, out=y)
+        sums[fixed] = n
         if n_power is None:
-            power_dist = float(np.sum(np.abs(mu * dn - target)))
+            power_dist = _l1_distance(np.multiply(mu, dn, out=terms), target)
             if power_dist <= tol:
                 n_power = n
         if n_cesaro is None:
-            cesaro_dist = float(np.sum(np.abs(_geometric_mean(mu, dn, n, off, gap) - target)))
+            np.multiply(mu, sums, out=terms)
+            cesaro_dist = _l1_distance(np.divide(terms, n, out=terms), target)
             if cesaro_dist <= tol:
                 n_cesaro = n
+        if not keep.all():
+            live, d_live, gap_live = live[keep], d_live[keep], gap_live[keep]
         n *= 2
     return GridLimitReport(
         converged=n_power is not None and n_cesaro is not None,
@@ -229,6 +258,12 @@ def weak_star_limit_check(model: GridModel, mu: np.ndarray, tol: float,
         cesaro_distance=cesaro_dist,
         limit_is_probability=bool(abs(float(np.sum(target)) - 1.0) <= tol),
     )
+
+
+def _l1_distance(terms: np.ndarray, target: np.ndarray) -> float:
+    """sum |terms - target|, computed in place in ``terms``."""
+    np.subtract(terms, target, out=terms)
+    return float(np.sum(np.abs(terms, out=terms)))
 
 
 def off_pi_trace_rows(model: GridModel, mu: np.ndarray, ns) -> list[tuple[str, str]]:

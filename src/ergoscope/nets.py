@@ -8,7 +8,6 @@ checkable after the fact.  Cesàro nets are one-generator Følner nets.
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -217,13 +216,6 @@ class NetVerdict:
         return list(worst.values())
 
 
-def _check_window(window, least: int) -> None:
-    if isinstance(window, bool) or not isinstance(window, numbers.Integral):
-        raise ValueError(f"need an integer window, got {window!r}")
-    if window < least:
-        raise ValueError(f"window must be at least {least}")
-
-
 def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> NetVerdict:
     """Check the left/right ergodic-net defects along a net sample.
 
@@ -238,7 +230,7 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError("side must be left, right or two_sided")
-    _check_window(window, 1)
+    check_int(window, "window", 1)
     tol = Fraction(tol)
     sides = ("left", "right") if side == "two_sided" else (side,)
     trace = []
@@ -259,7 +251,7 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
 
 def detect_limit(trace, tol, window: int = 3):
     """Last element if the trailing window is tol-clustered, else None."""
-    _check_window(window, 2)
+    check_int(window, "window", 2)
     trace = list(trace)
     if len({isinstance(x, OperatorMatrix) for x in trace}) > 1:
         raise ValueError("trace mixes matrices and measures")

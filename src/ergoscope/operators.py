@@ -162,13 +162,16 @@ class Measure:
 
     @classmethod
     def dirac(cls, n: int, x: int) -> "Measure":
-        return cls(tuple(ONE if i == x else ZERO for i in range(n)))
+        return cls.uniform_on(n, [x])
 
     @classmethod
     def uniform_on(cls, n: int, support) -> "Measure":
         support = sorted(set(support))
         if not support:
             raise ValueError("empty support")
+        for x in support:
+            if x not in range(n):
+                raise ValueError(f"state {x!r} out of range({n})")
         w = Fraction(1, len(support))
         return cls(tuple(w if i in support else ZERO for i in range(n)))
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergoscope.cosgrid import (
+    ACCUMULATE_BELOW,
     GridLimitReport,
     build_grid,
     cesaro_adjoint,
@@ -206,6 +207,73 @@ def test_stepwise_matches_reference_across_blocks(model_mu):
     for n in sorted((0, 1, block - 1, block, block + 1, block + 5, block + 40, 3 * block + 7)):
         ref, done = oracles.iterate_stepwise(model, ref, n - done), n
         assert iterate_stepwise(model, mu, n).tobytes() == ref.tobytes()
+
+
+def distinct_pairs(model, mu):
+    """The number of distinct (mu_i, d_i) bit pairs: the entries iterate_stepwise steps."""
+    values = np.asarray(mu, dtype=float).view(np.uint64).tolist()
+    return len(set(zip(values, model.diagonal.view(np.uint64).tolist())))
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid_measures())
+@example((build_grid(2, 100), uniform_weights(build_grid(2, 100))))
+@example((build_grid(2, 100), dirac_weights(build_grid(2, 100), 37)))
+@example((negated_off_pi(build_grid(3, 2000)), uniform_weights(build_grid(3, 2000))))
+def test_stepwise_matches_reference_across_distinct_blocks(model_mu):
+    # A block holds 2**17 // (distinct pairs) steps, not 2**17 // len(mu).
+    model, mu = model_mu
+    block = max(1, 2**17 // distinct_pairs(model, mu))
+    ref, done = mu, 0
+    for n in sorted({0, 1, block - 1, block, block + 1, block + 5, block + 40, 3 * block + 7}):
+        ref, done = oracles.iterate_stepwise(model, ref, n - done), n
+        assert iterate_stepwise(model, mu, n).tobytes() == ref.tobytes()
+
+
+def test_stepwise_keys_hold_the_value_and_the_diagonal_entry():
+    # d[1], d[99] and d[199] have the same bits; only mu tells them apart.
+    model = build_grid(2, 100)
+    assert model.diagonal[1] == model.diagonal[99] == model.diagonal[199]
+    one_mirror = uniform_weights(model)
+    one_mirror[99] *= 3
+    for mu in (one_mirror, np.linspace(1.0, 2.0, 201) / 301.5):
+        for n in (1, 1000, 10**4):
+            out = iterate_stepwise(model, mu, n)
+            assert out.tobytes() == oracles.iterate_stepwise(model, mu, n).tobytes()
+            assert out[1] != out[99]
+
+
+class MultiplyWidths:
+    """``np.multiply`` recording the width of each call, and of each
+    accumulate's rows."""
+
+    multiply = np.multiply
+
+    def __init__(self):
+        self.widths = []
+
+    def __call__(self, values, factors, out=None):
+        self.widths.append(np.shape(factors)[-1])
+        return self.multiply(values, factors, out=out)
+
+    def accumulate(self, rows, axis=0, out=None):
+        self.widths.append(rows.shape[1])
+        return self.multiply.accumulate(rows, axis=axis, out=out)
+
+
+def test_stepwise_multiplies_distinct_live_entries_only(monkeypatch):
+    model = build_grid(2, 100)
+    mu = uniform_weights(model)
+    distinct = distinct_pairs(model, mu)
+    assert distinct == 152
+    widths = MultiplyWidths()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "multiply", widths)
+        final = iterate_stepwise(model, mu, 10**5)
+    assert max(widths.widths) == distinct
+    # The fixed entries have left the live set by the last block.
+    assert widths.widths[-1] < ACCUMULATE_BELOW
+    assert hashlib.sha256(final.tobytes()).hexdigest() == STEPWISE_SHA256
 
 
 def test_negative_arguments_raise():

@@ -45,3 +45,16 @@ def test_interleave_refuses_nets_of_different_lengths(a, b):
     with pytest.raises(ValueError):
         interleave(constant_net(I, step, a), constant_net(I, step, b))
     assert len(interleave(constant_net(I, step, a), constant_net(I, step, a)).steps) == 2 * a
+
+
+@pytest.mark.parametrize("call, state", [
+    (lambda: Measure.dirac(3, 7), "7"),
+    (lambda: Measure.dirac(3, -1), "-1"),
+    (lambda: Measure.uniform_on(3, [0, 5]), "5"),
+    (lambda: Measure.uniform_on(3, [-2, 1]), "-2"),
+], ids=["dirac-above", "dirac-negative", "uniform-above", "uniform-negative"])
+def test_measures_name_a_state_outside_the_state_set(call, state):
+    with pytest.raises(ValueError, match=rf"state {state} out of range\(3\)"):
+        call()
+    assert Measure.dirac(3, 2).weights == (0, 0, 1)
+    assert Measure.uniform_on(3, [0, 2]).weights == (Fraction(1, 2), 0, Fraction(1, 2))

@@ -175,7 +175,7 @@ def test_verify_net_cesaro_two_sided():
 @pytest.mark.parametrize("window", [0, -1])
 def test_verify_net_rejects_window_below_one(window):
     net = abel_net(SHIFT3, [2, 3])
-    with pytest.raises(ValueError, match="window must be at least 1"):
+    with pytest.raises(ValueError, match="need window >= 1"):
         verify_net(net, [SHIFT3], "two_sided", 0, window=window)
 
 
