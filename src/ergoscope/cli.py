@@ -259,11 +259,10 @@ def cmd_trace(args) -> tuple[int, dict]:
     elif args.net == "folner":
         net = folner_net(adjoints, ns)
     elif args.net == "abel":
-        rs = [Fraction(args.r) ** k for k in range(1, 4)]
-        net = abel_net(adjoints[0], sorted(rs, reverse=True))
+        net = abel_net(adjoints[0], [args.r ** k for k in (3, 2, 1)])
     else:
         raise InputError(f"unknown net {args.net!r}")
-    verdict = verify_net(net, adjoints, args.side, Fraction(args.tol))
+    verdict = verify_net(net, adjoints, args.side, args.tol)
     header = ("descriptor", "generator", "side", "defect", "defect_float")
     return EXIT_OK, {args.csv_out: _csv_text(header, defect_csv_rows(verdict))}
 
@@ -315,6 +314,15 @@ def cmd_reproduce(args) -> tuple[int, dict]:
     raise InputError(f"unknown reproduction {args.name!r}")
 
 
+def _exact_decimal(text: str) -> Fraction | float:
+    """The exact rational a decimal or fraction string names, so "1.1" is
+    11/10; "inf" and "nan" stay floats for ``main`` to refuse."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergoscope",
@@ -338,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", parents=[source], help="ergodic net defect trace as CSV")
     p.add_argument("--net", choices=("cesaro", "abel", "folner"), default="cesaro")
     p.add_argument("--N", type=int, default=64)
-    p.add_argument("--r", type=float, default=2.0)
+    p.add_argument("--r", type=_exact_decimal, default="2")
     p.add_argument("--side", choices=("left", "right", "two_sided"), default="two_sided")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_exact_decimal, default="1e-9")
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_trace)
 
@@ -359,7 +367,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for option in ("r", "tol"):
-            _require(math.isfinite(getattr(args, option, 0.0)), f"--{option} must be finite")
+            value = getattr(args, option, 0.0)
+            _require(isinstance(value, Fraction) or math.isfinite(value),
+                     f"--{option} must be finite")
         code, outputs = args.func(args)
         # Only a computation that succeeded creates its output directory.
         if args.command == "reproduce" and args.out_dir:

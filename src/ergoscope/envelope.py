@@ -162,18 +162,18 @@ def _absorbed(q: OperatorMatrix, images: np.ndarray) -> np.ndarray:
     Column c of A_t is the point mass at t(c), so column c of Q A_t is
     column t(c) of Q: Q A_t = Q iff t keeps every column's label.  Column
     v of A_t Q is the pushforward of v by t, so A_t Q = Q iff t pushes
-    each distinct column onto itself.  A column's label is its
-    ``OperatorMatrix.scaled_columns`` entry (d, d * column) for its common
-    denominator d, which Q caches, so checking the same Q again scales
+    each distinct column onto itself.  A column's label is its column of
+    ``OperatorMatrix.integer_rows``, the entries times one common
+    denominator, which Q caches, so checking the same Q again scales
     nothing.  The distinct ones are pushed forward by one indexed add per
     block of rows.  No partial sum exceeds a column's scaled absolute sum,
     so the block is int64 when every such sum lies below 2**63 and holds
     Python integers otherwise.
     """
-    labels: dict[tuple[int, tuple[int, ...]], int] = {}
-    lab = np.array([labels.setdefault(key, len(labels)) for key in q.scaled_columns])
+    labels: dict[tuple[int, ...], int] = {}
+    lab = np.array([labels.setdefault(col, len(labels)) for col in zip(*q.integer_rows[1])])
     ok = (lab[images] == lab).all(axis=1)
-    scaled = [col for _, col in labels]
+    scaled = list(labels)
     wide = max(sum(map(abs, col)) for col in scaled) >= 2 ** 63
     cols = np.array(scaled, dtype=object if wide else np.int64).T
     n, k = cols.shape

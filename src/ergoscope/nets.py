@@ -168,7 +168,9 @@ def abel_net(m: OperatorMatrix, rs, terms: int = 24) -> NetSample:
     """Abel-style net with weights renormalized over a truncation window.
 
     The raw Abel sum truncates to total weight below one; renormalizing
-    keeps every step an exact convex combination of powers.
+    keeps every step an exact convex combination of powers.  For r = a/b
+    the raw weight r^-(k+1) is b^(k+1) a^(terms-1-k) / a^terms, so the
+    weights are those integers over their sum.
     """
     check_int(terms, "terms", 1)
     steps = []
@@ -177,9 +179,10 @@ def abel_net(m: OperatorMatrix, rs, terms: int = 24) -> NetSample:
         r = Fraction(r)
         if r <= 1:
             raise ValueError("Abel means need r > 1")
-        raw = [r ** -(k + 1) for k in range(terms)]
+        a, b = r.numerator, r.denominator
+        raw = [b ** (k + 1) * a ** (terms - 1 - k) for k in range(terms)]
         total = sum(raw)
-        combo = tuple((p, w / total) for p, w in zip(powers, raw))
+        combo = tuple((p, Fraction(w, total)) for p, w in zip(powers, raw))
         steps.append(NetStep(f"abel r={r}", convex_combination(combo), combo))
     return NetSample(tuple(steps))
 
@@ -216,18 +219,41 @@ class NetVerdict:
         return list(worst.values())
 
 
+def _defect(m: OperatorMatrix, g: OperatorMatrix, side: str) -> Fraction:
+    """max |g M - M| (left) or |M g - M| (right) over the entries, on integers:
+    with M = M'/d_M and g = G/d_g, max |G M' - d_g M'| or |M' G - d_g M'|, over
+    d_g d_M.  Each row of the product starts from -d_g M' and adds only the
+    products of nonzero entries, so a map's 0/1 rows cost O(n^2) on either side."""
+    m._check_size(g.n)
+    (dm, mi), (dg, gi) = m.integer_rows, g.integer_rows
+    a, b = (gi, mi) if side == "left" else (mi, gi)
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    worst = 0
+    for row, m_row in zip(a, mi):
+        acc = [-dg * x for x in m_row]
+        for x, b_row in zip(row, b_nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        worst = max(worst, *map(abs, acc))
+    return Fraction(worst, dg * dm)
+
+
 def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> NetVerdict:
     """Check the left/right ergodic-net defects along a net sample.
 
     The left defect of a step M against a generator g is the largest entry
-    of (I - g) M, read as M.max_entry_distance(g @ M); the right one is that
-    of M (I - g), read as M.max_entry_distance(M @ g).  The status is read
-    off the last ``window`` entries of ``worst_by_step()``: "ergodic" if all
-    are at most ``tol``, "not_ergodic" if all sit above ``tol`` and the last
-    is no smaller than the first, and "undetermined" otherwise, also when the
-    net has fewer than ``window`` steps.  A finite sample can never certify
+    of (I - g) M, and the right one is that of M (I - g), both computed on
+    the ``integer_rows`` of M and g.  The status is read off the last
+    ``window`` entries of ``worst_by_step()``: "ergodic" if all are at most
+    ``tol``, "not_ergodic" if all sit above ``tol`` and the last is no
+    smaller than the first, and "undetermined" otherwise, also when the net
+    has fewer than ``window`` steps.  A finite sample can never certify
     more than this.
     """
+    generators = list(generators)
+    if not generators:
+        raise ValueError("need at least one generator")
     if side not in ("left", "right", "two_sided"):
         raise ValueError("side must be left, right or two_sided")
     check_int(window, "window", 1)
@@ -238,7 +264,7 @@ def verify_net(net: NetSample, generators, side: str, tol, window: int = 3) -> N
         m = step.matrix
         for k, g in enumerate(generators):
             for s in sides:
-                defect = m.max_entry_distance(g @ m if s == "left" else m @ g)
+                defect = _defect(m, g, s)
                 trace.append(DefectRecord(i, step.descriptor, f"g{k}", s, defect))
     verdict = NetVerdict("undetermined", side, tuple(trace))
     tail = verdict.worst_by_step()[-window:]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import add, sub
+from operator import add
 
 from . import rational
 from .rational import ONE, ZERO, Row
@@ -27,8 +27,9 @@ class OperatorMatrix:
 
     A pushforward A_t knows its map t (``images``) however it was built,
     so a product with it moves entries instead of multiplying them, and a
-    pushforward hashes its image tuple.  Products of ``Fraction`` matrices
-    hold ``Fraction`` entries on every path.
+    pushforward hashes its image tuple.  ``integer_rows`` is the one
+    integer form of the entries, over one common denominator.  Products
+    of ``Fraction`` matrices hold ``Fraction`` entries on every path.
     """
 
     rows: tuple[Row, ...]
@@ -59,9 +60,26 @@ class OperatorMatrix:
         return None if None in images else tuple(images)
 
     @cached_property
-    def scaled_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Each column as (d, d * column) for its least common denominator d."""
-        return tuple(map(rational.integer_form, zip(*self.rows)))
+    def integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, d * rows) for a common denominator d of the entries: a
+        pushforward reads its 0/1 rows off its map, with d = 1, and
+        ``pushforward`` records the integers it summed."""
+        n, t = self.n, self.images
+        if t is not None:
+            return 1, tuple(tuple(int(y == r) for y in t) for r in range(n))
+        d, flat = rational.integer_form(tuple(chain(*self.rows)))
+        return d, tuple(flat[i:i + n] for i in range(0, n * n, n))
+
+    @classmethod
+    def of_map(cls, images) -> "OperatorMatrix":
+        """A_t for the map t with these images, which it records."""
+        images = tuple(images)
+        rows = [[ZERO] * len(images) for _ in images]
+        for x, y in enumerate(images):
+            rows[y][x] = ONE
+        m = cls(tuple(map(tuple, rows)))
+        m.__dict__["images"] = images
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "OperatorMatrix":
@@ -69,7 +87,7 @@ class OperatorMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "OperatorMatrix":
-        return cls(rational.identity_rows(n))
+        return cls.of_map(range(n))
 
     @classmethod
     def zeros(cls, n: int) -> "OperatorMatrix":
@@ -100,6 +118,8 @@ class OperatorMatrix:
         self._check_size(other.n)
         if other.images is not None:
             t = other.images
+            if self.images is not None:
+                return OperatorMatrix.of_map(tuple(self.images[y] for y in t))
             return OperatorMatrix(tuple(tuple(row[y] for y in t) for row in self.rows))
         if self.images is not None:
             sums = [None] * self.n
@@ -130,22 +150,25 @@ class OperatorMatrix:
         return rational.mat_vec(self.rows, vector)
 
     def max_entry_distance(self, other: "OperatorMatrix") -> Fraction:
-        """max |a - b| over the entries, exactly: both matrices as integers
-        over one common denominator d, and one ``Fraction`` of the largest
+        """max |a - b| over the entries, exactly: both ``integer_rows`` over
+        the lcm d of their denominators, and one ``Fraction`` of the largest
         integer difference over d."""
         self._check_size(other.n)
-        d, scaled = rational.integer_form([*chain(*self.rows), *chain(*other.rows)])
-        half = len(scaled) // 2
-        return Fraction(max(map(abs, map(sub, scaled[:half], scaled[half:])), default=0), d)
+        (da, a), (db, b) = self.integer_rows, other.integer_rows
+        d = math.lcm(da, db)
+        fa, fb = d // da, d // db
+        return Fraction(max((abs(x * fa - y * fb) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
+                            default=0), d)
 
 
 def convex_combination(weighted) -> OperatorMatrix:
     """Exact sum of (matrix, weight) pairs whose weights are nonnegative
-    and sum to 1: ``pushforward`` of the pairs, after that check."""
-    weighted = [(m, Fraction(w)) for m, w in weighted]
-    if sum(w for _, w in weighted) != 1 or any(w < 0 for _, w in weighted):
+    and sum to 1, checked on the integer weights k over the denominator d
+    that ``pushforward`` sums: none negative, and sum k = d."""
+    ops, d, ks = _over_one_denominator(weighted)
+    if sum(ks) != d or any(k < 0 for k in ks):
         raise ValueError("weights must be nonnegative and sum to 1")
-    return pushforward(weighted)
+    return _weighted_sum(ops, d, ks)
 
 
 @dataclass(frozen=True)
@@ -191,18 +214,30 @@ class Measure:
 def pushforward(weighted) -> OperatorMatrix:
     """Exact sum of w * M over (operator, weight) pairs, whatever the weights
     sum to; an operator is a map t (a ``Transformation`` or a pushforward A_t)
-    or any other ``OperatorMatrix``.  The weights become integers k over one
-    denominator D that also clears the other matrices' ``scaled_columns``: a
-    map adds k to entry (t(c), c) of each column c, any other matrix adds k * x
-    to each entry x, and each entry is one ``Fraction(sum, D)``, or ``ZERO``."""
-    weighted = [(m, Fraction(w)) for m, w in weighted]
-    if not weighted:
+    or any other ``OperatorMatrix``."""
+    return _weighted_sum(*_over_one_denominator(weighted))
+
+
+def _over_one_denominator(weighted) -> tuple[list, int, tuple[int, ...]]:
+    """(operators, d, ks): the weights as integers k over one denominator d;
+    a weight that is not yet a ``Fraction`` becomes one."""
+    weighted = list(weighted)
+    d, ks = rational.integer_form([w if type(w) is Fraction else Fraction(w) for _, w in weighted])
+    return [m for m, _ in weighted], d, ks
+
+
+def _weighted_sum(ops, d: int, ks) -> OperatorMatrix:
+    """sum (k / d) * M over the operators and integer weights, on integers over
+    one denominator D that also clears the other matrices' ``integer_rows``:
+    a map adds k to entry (t(c), c) of each column c, any other matrix adds
+    k * x to each entry x, and each entry is one ``Fraction(sum, D)``, or
+    ``ZERO``.  The result records its integers as its ``integer_rows``."""
+    if not ops:
         raise ValueError("need at least one weighted operator")
-    e = math.lcm(*(dc for m, _ in weighted if m.images is None for dc, _ in m.scaled_columns))
-    d, ks = rational.integer_form([w for _, w in weighted])
-    n = len(weighted[0][0].images or weighted[0][0].rows)
+    e = math.lcm(*(m.integer_rows[0] for m in ops if m.images is None))
+    n = len(ops[0].images or ops[0].rows)
     cols = [[0] * n for _ in range(n)]
-    for (m, _), k in zip(weighted, ks):
+    for m, k in zip(ops, ks):
         t, k = m.images, k * e
         if len(t or m.rows) != n:
             raise ValueError(f"size mismatch: {n}-state and {len(t or m.rows)}-state operators")
@@ -210,17 +245,21 @@ def pushforward(weighted) -> OperatorMatrix:
             for col, r in zip(cols, t):
                 col[r] += k
         else:
-            for col, (dc, scaled) in zip(cols, m.scaled_columns):
-                f = k // dc
-                for r, x in enumerate(scaled):
+            dm, rows = m.integer_rows
+            f = k // dm
+            for col, column in zip(cols, zip(*rows)):
+                for r, x in enumerate(column):
                     col[r] += f * x
     d *= e
-    return OperatorMatrix(tuple(zip(*([Fraction(s, d) if s else ZERO for s in col] for col in cols))))
+    rows = tuple(zip(*cols))
+    m = OperatorMatrix(tuple(tuple(Fraction(s, d) if s else ZERO for s in row) for row in rows))
+    m.__dict__["integer_rows"] = (d, rows)
+    return m
 
 
 def adjoint_matrix(t: Transformation) -> OperatorMatrix:
     """The pushforward on measures: A[y][x] = 1 iff t(x) = y."""
-    return pushforward([(t, ONE)])
+    return OperatorMatrix.of_map(t.images)
 
 
 def koopman_matrix(t: Transformation) -> OperatorMatrix:

@@ -10,7 +10,8 @@ name, the same multiply as its earlier ``*=``, so that a test can
 substitute a faulty one.  ``cayley_table`` composes image rows, independently of
 the generator graphs, and ``multiplicative_on_all_pairs`` checks a map of
 elements against it pair by pair.  ``abel`` is the earlier Abel mean that
-summed its own power loop, and ``power_counts`` the earlier Følner-box count
+summed its own power loop, ``abel_weights`` the earlier Abel net weights,
+``Fraction`` powers of r over their sum, and ``power_counts`` the earlier Følner-box count
 of every power in a list of all N.  ``absorbs`` is the earlier zero identity check,
 one map at a time on the rows of Q.  ``matmul``, ``convex_combination`` and
 ``max_entry_distance`` are the earlier ``OperatorMatrix`` product, convex sum
@@ -71,6 +72,13 @@ def abel(m: OperatorMatrix, r, tail_tol) -> AbelMean:
         acc = acc + power.scale(coeff)
         coeff = coeff / r
     return AbelMean(acc, terms, bound / r**terms)
+
+
+def abel_weights(r: Fraction, terms: int) -> list[Fraction]:
+    """r^-(k+1) / (sum of them) for k < terms."""
+    raw = [r ** -(k + 1) for k in range(terms)]
+    total = sum(raw)
+    return [w / total for w in raw]
 
 
 def power(t: Transformation, k: int) -> Transformation:

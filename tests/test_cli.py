@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -179,6 +180,21 @@ def test_trace_at_a_huge_n_begins_with_the_small_n_rows(tmp_path):
     small_lines, huge_lines = small.stdout.splitlines(), huge.stdout.splitlines()
     assert len(huge_lines) > len(small_lines) > 1
     assert huge_lines[:len(small_lines)] == small_lines
+
+
+def test_trace_reads_r_and_tol_as_exact_decimals(tmp_path):
+    from ergoscope.cli import build_parser
+
+    path = write_descriptor(tmp_path, CYCLIC)
+    result = run_cli(["trace", path, "--net", "abel", "--r", "1.1", "--side", "right",
+                      "--tol", "0.3"])
+    assert result.returncode == 0, result.stderr
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["abel r=1331/1000", "abel r=121/100", "abel r=11/10"]
+    args = build_parser().parse_args(["trace", path, "--r", "1.1", "--tol", "0.3"])
+    assert (args.r, args.tol) == (Fraction(11, 10), Fraction(3, 10))
+    defaults = build_parser().parse_args(["trace", path])
+    assert (defaults.r, defaults.tol) == (2, Fraction(1, 10**9))
 
 
 def test_trace_folner_rejects_non_commuting(tmp_path):
