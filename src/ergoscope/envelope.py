@@ -38,7 +38,7 @@ from .operators import (
     adjoint_matrix,
     decomposition_check,
     invariant_measures,
-    pushforward,
+    pushforward_integers,
 )
 from .systems import FiniteSystem, invariant_supports, minimal_sets, transitivity
 from .transforms import (
@@ -62,9 +62,7 @@ class Verdict(enum.Enum):
         return cls.TRUE if flag else cls.FALSE
 
 
-VERIFY_ALL_MAX = 1000                    # verify zero identities on all elements
 MINIMAL_CHECK_NS = (4, 8, 16, 32)        # Følner box sides of minimal_unique_check
-PUSH_BLOCK = 1 << 20                     # entries per pushforward block in _absorbed
 
 
 @dataclass(frozen=True)
@@ -129,23 +127,28 @@ def power_periodicity(t: Transformation) -> tuple[int, int, list[Transformation]
 
 @dataclass(frozen=True)
 class ZeroCertificate:
-    """A verified zero of the convex Köhler semigroup.
+    """A verified zero Q of the convex Köhler semigroup, in closed form: column
+    x is uniform on supports[labels[x]], the one invariant support inside
+    {x} u Sx, and ``matrix`` is built on first read.  ``witness`` expresses Q
+    as an exact convex combination of pushforwards of semigroup elements;
+    ``checks`` names the identities that were verified exactly."""
 
-    ``witness`` expresses the matrix as an exact convex combination of
-    pushforwards of semigroup elements; ``checks`` names the identities
-    that were verified exactly.
-    """
-
-    matrix: OperatorMatrix
+    labels: tuple[int, ...]
+    supports: tuple[frozenset[int], ...]
     witness: tuple[tuple[Transformation, Fraction], ...]
     checks: tuple[str, ...]
 
+    @cached_property
+    def matrix(self) -> OperatorMatrix:
+        n, columns = len(self.labels), []
+        for m in self.supports:
+            w = Fraction(1, len(m))
+            columns.append(tuple(w if y in m else rational.ZERO for y in range(n)))
+        return OperatorMatrix(tuple(zip(*(columns[i] for i in self.labels))))
+
     def rank(self) -> int:
-        """trace Q: ``_certify`` proves Q A_g = Q for every generator g, so Q A_s = Q
-        for every s in S, Q^2 = sum w_s Q A_s = Q, and an idempotent's rank is its trace."""
-        trace = sum(row[i] for i, row in enumerate(self.matrix.rows))
-        assert trace.denominator == 1, f"zero trace {trace} is not an integer"
-        return int(trace)
+        """trace Q, which puts 1/|M| on the diagonal at each state of each support M."""
+        return len(self.supports)
 
 
 @dataclass(frozen=True)
@@ -156,55 +159,40 @@ class ZeroSearchResult:
     notes: tuple[str, ...] = ()
 
 
-def _absorbed(q: OperatorMatrix, images: np.ndarray) -> np.ndarray:
+def _absorbed(cert: ZeroCertificate, images: np.ndarray) -> np.ndarray:
     """Which maps t, one per row of ``images``, give A_t Q = Q A_t = Q, exactly.
 
-    Column c of A_t is the point mass at t(c), so column c of Q A_t is
-    column t(c) of Q: Q A_t = Q iff t keeps every column's label.  Column
-    v of A_t Q is the pushforward of v by t, so A_t Q = Q iff t pushes
-    each distinct column onto itself.  A column's label is its column of
-    ``OperatorMatrix.integer_rows``, the entries times one common
-    denominator, which Q caches, so checking the same Q again scales
-    nothing.  The distinct ones are pushed forward by one indexed add per
-    block of rows.  No partial sum exceeds a column's scaled absolute sum,
-    so the block is int64 when every such sum lies below 2**63 and holds
-    Python integers otherwise.
+    Column x of Q A_t is column t(x) of Q, so Q A_t = Q iff t keeps every
+    label.  A_t Q = Q iff t maps every support onto itself, which, where t
+    keeps the labels, holds iff t permutes the union of the supports.
     """
-    labels: dict[tuple[int, ...], int] = {}
-    lab = np.array([labels.setdefault(col, len(labels)) for col in zip(*q.integer_rows[1])])
-    ok = (lab[images] == lab).all(axis=1)
-    scaled = list(labels)
-    wide = max(sum(map(abs, col)) for col in scaled) >= 2 ** 63
-    cols = np.array(scaled, dtype=object if wide else np.int64).T
-    n, k = cols.shape
-    rows = np.flatnonzero(ok)
-    step = max(1, PUSH_BLOCK // (n * k))
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        pushed = np.zeros((len(block), n, k), dtype=cols.dtype)
-        np.add.at(pushed, (np.arange(len(block))[:, None], images[block]), cols)
-        ok[block] = (pushed == cols).all(axis=(1, 2))
-    return ok
+    labels = np.array(cert.labels)
+    union = np.array(sorted(x for m in cert.supports for x in m), dtype=np.intp)
+    return ((labels[images] == labels).all(axis=1)
+            & (np.sort(images[:, union], axis=1) == union).all(axis=1))
 
 
-def _certify(weights: dict[tuple[int, ...], Fraction], sys: FiniteSystem) -> ZeroCertificate:
-    """Q = the convex combination of the weighted image tuples' pushforwards,
-    certified by exact zero identities against every generator; raises
-    AssertionError naming the first generator that Q does not absorb."""
+def _certify(weights: dict, sys: FiniteSystem, labels: tuple[int, ...]) -> ZeroCertificate:
+    """Q in closed form on ``labels``, certified against every generator and by
+    the witness's integer columns over d, each summing to d, matching Q's;
+    raises AssertionError naming the first generator Q does not absorb, or the witness."""
     assert sum(weights.values()) == 1 and min(weights.values()) >= 0, "weights not convex"
     witness = tuple((Transformation(images), w) for images, w in sorted(weights.items()))
-    q = pushforward(witness)
-    checks = []
-    absorbed = _absorbed(q, np.array([g.images for g in sys.generator_maps]))
+    cert = ZeroCertificate(labels, invariant_supports(sys), witness, (
+        *(f"A[{name}] Q = Q A[{name}] = Q" for name, _ in sys.generators),
+        "Q is a convex combination of semigroup pushforwards"))
+    absorbed = _absorbed(cert, np.array([g.images for g in sys.generator_maps]))
     for (name, _), ok in zip(sys.generators, absorbed):
         if not ok:
             raise AssertionError(f"Q is not a zero: generator {name!r} fails A Q = Q A = Q")
-        checks.append(f"A[{name}] Q = Q A[{name}] = Q")
-    checks.append("Q is a convex combination of semigroup pushforwards")
-    return ZeroCertificate(q, witness, tuple(checks))
+    d, cols = pushforward_integers(witness)
+    columns = [[d // len(m) * (y in m) for y in range(sys.n)] for m in cert.supports]
+    if any(col != columns[i] for col, i in zip(cols, labels)):
+        raise AssertionError("Q is not the witness's convex combination")
+    return cert
 
 
-def _zero_by_cesaro_product(sys: FiniteSystem) -> ZeroCertificate:
+def _zero_by_cesaro_product(sys: FiniteSystem) -> dict[tuple[int, ...], Fraction]:
     """Complete for commuting generators: product of per-map limits, each the
     average of one period of the map's powers, as weights on image tuples."""
     weights = {tuple(range(sys.n)): Fraction(1)}
@@ -216,10 +204,10 @@ def _zero_by_cesaro_product(sys: FiniteSystem) -> ZeroCertificate:
                 key = tuple(s[y] for y in p.images)
                 product[key] = product.get(key, 0) + w / period
         weights = product
-    return _certify(weights, sys)
+    return weights
 
 
-def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertificate | None:
+def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> dict | None:
     """Exact linear feasibility over the hull of the kernel K.
 
     A zero Q = sum lambda_i A_{s_i} of co(S) lies in co(K): for any k in
@@ -244,30 +232,34 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> ZeroCertifica
     solution = rational.lp_feasible_point(rows, rhs)
     if solution is None:
         return None
-    return _certify({tuple(e): w for e, w in zip(own.tolist(), solution) if w > 0}, sys)
+    return {tuple(e): w for e, w in zip(own.tolist(), solution) if w > 0}
 
 
-def _zero_refuted_by_minimal_sets(sys: FiniteSystem) -> str | None:
-    """Exact refutation: a zero's columns are invariant measures.
+def _zero_support_labels(sys: FiniteSystem) -> str | tuple[int, ...]:
+    """The reason no zero exists, or x -> the index of M(x) in ``invariant_supports``.
 
-    Q delta_y for y in a minimal set M is invariant and supported in M,
-    so every minimal set must carry an invariant measure; and since
-    Q A_w = Q forces equal columns along orbits, no orbit closure may
-    contain two measure-carrying minimal sets.  Either failure proves
-    the zero absent.  A minimal set lies in an orbit closure iff its
-    least state does.
+    A zero's columns are invariant measures.  Q delta_y for y in a minimal
+    set M is invariant and supported in M, so every minimal set must carry
+    an invariant measure; and since Q A_w = Q forces equal columns along
+    orbits, no orbit closure may contain two measure-carrying minimal sets.
+    Either failure proves the zero absent.  Otherwise {x} u Sx holds one,
+    M(x), found by its least state, and the zero is uniform on M(x) in
+    column x: a kernel idempotent e fixes each M and sends x into M(x), and
+    the average over the group eSe, transitive on each M, is that zero.
     """
     supports = invariant_supports(sys)
     for m in minimal_sets(sys):
         if m not in supports:
             return f"minimal set {sorted(m)} carries no invariant measure"
     least = [min(s) for s in supports]
+    labels = []
     for x, reach in enumerate(sys.reach):
-        inside = sum(y == x or y in reach for y in least)
-        if inside >= 2:
+        inside = [i for i, y in enumerate(least) if y == x or y in reach]
+        if len(inside) >= 2:
             return (f"orbit closure of state {x} contains "
-                    f"{inside} minimal sets with invariant measures")
-    return None
+                    f"{len(inside)} minimal sets with invariant measures")
+        labels.extend(inside)
+    return tuple(labels)
 
 
 def convex_koehler_zero(
@@ -277,24 +269,24 @@ def convex_koehler_zero(
 ) -> ZeroSearchResult:
     """Search for the zero element of the convex Köhler semigroup.
 
-    Commuting generators get the exact Cesàro-product construction,
-    which is complete for that class.  Otherwise the cheap exact
-    minimal-set refutation runs first, then exact linear feasibility
-    over the hull of the Ellis kernel, which is complete because a zero
-    of co(S) lies in co(K) (see ``_zero_by_feasibility``).  When the
-    closure exceeds ``budget.max_elements`` or the kernel exceeds
-    ``budget.lp_max_elements``, the result is reported as undetermined,
-    never guessed.  ``_ellis`` is the closure ``classify`` already built,
-    or the ``SizeCapError`` it raised: the closure is the one costly input,
-    so a capped closure is never built twice.
+    The minimal-set screen runs first and refutes the zero or gives its
+    closed form, which a witness must sum to: for commuting generators the
+    exact Cesàro product, otherwise exact linear feasibility over the hull
+    of the Ellis kernel, which is complete because a zero of co(S) lies in
+    co(K) (see ``_zero_by_feasibility``).  When the closure exceeds
+    ``budget.max_elements`` or the kernel exceeds ``budget.lp_max_elements``,
+    the result is reported as undetermined, never guessed.  ``_ellis`` is
+    the closure ``classify`` already built, or the ``SizeCapError`` it
+    raised: the closure is the one costly input, so a capped closure is
+    never built twice.
     """
     budget = budget or Budget()
+    labels = _zero_support_labels(sys)
+    if isinstance(labels, str):
+        return ZeroSearchResult("absent", None, "minimal_set_refutation", (labels,))
     if sys.commuting:
-        cert = _zero_by_cesaro_product(sys)
+        cert = _certify(_zero_by_cesaro_product(sys), sys, labels)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    reason = _zero_refuted_by_minimal_sets(sys)
-    if reason is not None:
-        return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
     sg = _ellis
     if sg is None:
         try:
@@ -309,16 +301,16 @@ def convex_koehler_zero(
             (f"{size} kernel elements exceed the exact-refutation budget "
              f"{budget.lp_max_elements}",),
         )
-    cert = _zero_by_feasibility(sys, sg)
+    weights = _zero_by_feasibility(sys, sg)
+    cert = None if weights is None else _certify(weights, sys, labels)
     return ZeroSearchResult("absent" if cert is None else "found", cert, "linear_feasibility")
 
 
 def verify_zero_on_all_elements(cert: ZeroCertificate, sg: TransSemigroup) -> int:
-    """Q M = M Q = Q for the pushforward M of every element, checked
-    exactly on the whole image array at once; returns the check count.
-    Raises AssertionError naming the first failing element in
-    ``sg.images`` order."""
-    failed = np.flatnonzero(~_absorbed(cert.matrix, sg.images))
+    """Q M = M Q = Q for the pushforward M of every element, read off the labels
+    for the whole image array at once, in time linear in its size; returns the
+    check count.  Raises AssertionError naming the first failing element in order."""
+    failed = np.flatnonzero(~_absorbed(cert, sg.images))
     if failed.size:
         raise AssertionError(
             f"zero identity fails on element {tuple(sg.images[failed[0]].tolist())}")
@@ -392,7 +384,7 @@ def minimal_unique_check(sys: FiniteSystem) -> MinimalUniqueCheck:
     assert len(measures) == 1, (
         "minimal commuting system must be uniquely ergodic"
     )
-    cert = _zero_by_cesaro_product(sys)
+    cert = convex_koehler_zero(sys).certificate
     # Per-generator transients bound the distance of the box average to
     # the zero: |A_N - Q| <= n * sum_g (preperiod_g + period_g) / N.
     constant = 0
@@ -459,9 +451,8 @@ def classify(sys: FiniteSystem, budget: Budget | None = None) -> ClassificationR
         weak_star = norm = Verdict.TRUE
         # A zero of co(S) projects onto fix(S'), spanned by the extreme measures.
         rank = search.certificate.rank()
-        assert rank == len(measures), "zero rank and invariant measure count disagree"
         unique = Verdict.of(rank == 1)
-        if sg is not None and sg.size <= VERIFY_ALL_MAX:
+        if sg is not None:
             verify_zero_on_all_elements(search.certificate, sg)
     elif search.status == "absent":
         weak_star = norm = unique = Verdict.FALSE

@@ -168,7 +168,7 @@ def convex_combination(weighted) -> OperatorMatrix:
     ops, d, ks = _over_one_denominator(weighted)
     if sum(ks) != d or any(k < 0 for k in ks):
         raise ValueError("weights must be nonnegative and sum to 1")
-    return _weighted_sum(ops, d, ks)
+    return _as_matrix(*_integer_sum(ops, d, ks))
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,12 @@ def pushforward(weighted) -> OperatorMatrix:
     """Exact sum of w * M over (operator, weight) pairs, whatever the weights
     sum to; an operator is a map t (a ``Transformation`` or a pushforward A_t)
     or any other ``OperatorMatrix``."""
-    return _weighted_sum(*_over_one_denominator(weighted))
+    return _as_matrix(*pushforward_integers(weighted))
+
+
+def pushforward_integers(weighted) -> tuple[int, list[list[int]]]:
+    """(D, columns): that sum as integer columns over one denominator D."""
+    return _integer_sum(*_over_one_denominator(weighted))
 
 
 def _over_one_denominator(weighted) -> tuple[list, int, tuple[int, ...]]:
@@ -226,12 +231,11 @@ def _over_one_denominator(weighted) -> tuple[list, int, tuple[int, ...]]:
     return [m for m, _ in weighted], d, ks
 
 
-def _weighted_sum(ops, d: int, ks) -> OperatorMatrix:
-    """sum (k / d) * M over the operators and integer weights, on integers over
-    one denominator D that also clears the other matrices' ``integer_rows``:
-    a map adds k to entry (t(c), c) of each column c, any other matrix adds
-    k * x to each entry x, and each entry is one ``Fraction(sum, D)``, or
-    ``ZERO``.  The result records its integers as its ``integer_rows``."""
+def _integer_sum(ops, d: int, ks) -> tuple[int, list[list[int]]]:
+    """sum (k / d) * M over the operators and integer weights, as (D, columns)
+    of integers over one denominator D that also clears the other matrices'
+    ``integer_rows``: a map adds k to entry (t(c), c) of each column c, and
+    any other matrix adds k * x to each entry x."""
     if not ops:
         raise ValueError("need at least one weighted operator")
     e = math.lcm(*(m.integer_rows[0] for m in ops if m.images is None))
@@ -250,7 +254,11 @@ def _weighted_sum(ops, d: int, ks) -> OperatorMatrix:
             for col, column in zip(cols, zip(*rows)):
                 for r, x in enumerate(column):
                     col[r] += f * x
-    d *= e
+    return d * e, cols
+
+
+def _as_matrix(d: int, cols) -> OperatorMatrix:
+    """Integer columns over d as exact entries, recorded as its ``integer_rows``."""
     rows = tuple(zip(*cols))
     m = OperatorMatrix(tuple(tuple(Fraction(s, d) if s else ZERO for s in row) for row in rows))
     m.__dict__["integer_rows"] = (d, rows)

@@ -130,8 +130,9 @@ def lp_feasible_point(
     # Tableau columns: n structural + m artificial + rhs.
     tab = [a[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    # Cost row for minimizing the sum of artificials.
-    cost = [ZERO] * (n + m + 1)
+    # Reduced costs for minimizing the sum of artificials: 0 on the basic
+    # artificials, minus the column sums elsewhere, -sum b at the right.
+    cost = [ZERO] * n + [ONE] * m + [ZERO]
     for i in range(m):
         for j in range(n + m + 1):
             cost[j] -= tab[i][j]

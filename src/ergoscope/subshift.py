@@ -16,6 +16,7 @@ reported, in the same order.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,10 @@ class BinaryWord:
 
     @classmethod
     def from_string(cls, text: str) -> "BinaryWord":
+        """The word spelled by the characters "0" and "1"; any other raises."""
+        bad = re.search("[^01]", text)
+        if bad:
+            raise ValueError(f"bit {bad.group()!r} at position {bad.start()} is not '0' or '1'")
         return cls.from_bits(text)
 
     @cached_property

@@ -47,7 +47,7 @@ def check_int(value, name: str, least: int, below: float = float("inf")) -> None
 
 @dataclass(frozen=True)
 class Transformation:
-    """A total self-map of {0, ..., n-1}, stored as its image tuple."""
+    """A total self-map of {0, ..., n-1}, stored as its tuple of Python ints."""
 
     images: tuple[int, ...]
 
@@ -55,11 +55,16 @@ class Transformation:
         n = len(self.images)
         if n == 0:
             raise ValueError("empty state set")
+        plain = type(self.images) is tuple
         for y in self.images:
-            if type(y) is not int and not isinstance(y, np.integer):  # bool too
-                raise ValueError(f"image {y!r} is not an integer")
+            if type(y) is not int:
+                if not isinstance(y, np.integer):  # bool too
+                    raise ValueError(f"image {y!r} is not an integer")
+                plain = False
             if not 0 <= y < n:
                 raise ValueError(f"image out of range for degree {n}: {self.images}")
+        if not plain:
+            object.__setattr__(self, "images", tuple(map(int, self.images)))
 
     @classmethod
     def identity(cls, n: int) -> "Transformation":

@@ -13,7 +13,9 @@ elements against it pair by pair.  ``abel`` is the earlier Abel mean that
 summed its own power loop, ``abel_weights`` the earlier Abel net weights,
 ``Fraction`` powers of r over their sum, and ``power_counts`` the earlier Følner-box count
 of every power in a list of all N.  ``absorbs`` is the earlier zero identity check,
-one map at a time on the rows of Q.  ``matmul``, ``convex_combination`` and
+one map at a time on the rows of Q, and ``absorbed`` the earlier array one,
+which pushed the distinct scaled columns of any Q forward in blocks of
+rows.  ``matmul``, ``convex_combination`` and
 ``max_entry_distance`` are the earlier ``OperatorMatrix`` product, convex sum
 and distance, which multiplied, summed and subtracted ``Fraction`` entries
 whether or not a matrix is a pushforward.  ``power`` is the earlier
@@ -108,6 +110,39 @@ def absorbs(q: OperatorMatrix, images: Sequence[int]) -> bool:
     for x, r in enumerate(images):
         sums[r] = [a + b for a, b in zip(sums[r], rows[x])]
     return all(tuple(s) == row for s, row in zip(sums, rows))
+
+
+PUSH_BLOCK = 1 << 20                     # entries per pushforward block in absorbed
+
+
+def absorbed(q: OperatorMatrix, images: np.ndarray) -> np.ndarray:
+    """Which maps t, one per row of ``images``, give A_t Q = Q A_t = Q, exactly.
+
+    Column c of A_t is the point mass at t(c), so column c of Q A_t is
+    column t(c) of Q: Q A_t = Q iff t keeps every column's label.  Column
+    v of A_t Q is the pushforward of v by t, so A_t Q = Q iff t pushes
+    each distinct column onto itself.  A column's label is its column of
+    ``OperatorMatrix.integer_rows``, the entries times one common
+    denominator.  The distinct ones are pushed forward by one indexed add
+    per block of rows.  No partial sum exceeds a column's scaled absolute
+    sum, so the block is int64 when every such sum lies below 2**63 and
+    holds Python integers otherwise.
+    """
+    labels: dict[tuple[int, ...], int] = {}
+    lab = np.array([labels.setdefault(col, len(labels)) for col in zip(*q.integer_rows[1])])
+    ok = (lab[images] == lab).all(axis=1)
+    scaled = list(labels)
+    wide = max(sum(map(abs, col)) for col in scaled) >= 2 ** 63
+    cols = np.array(scaled, dtype=object if wide else np.int64).T
+    n, k = cols.shape
+    rows = np.flatnonzero(ok)
+    step = max(1, PUSH_BLOCK // (n * k))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        pushed = np.zeros((len(block), n, k), dtype=cols.dtype)
+        np.add.at(pushed, (np.arange(len(block))[:, None], images[block]), cols)
+        ok[block] = (pushed == cols).all(axis=(1, 2))
+    return ok
 
 
 def matmul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

@@ -247,6 +247,13 @@ def test_invalid_input_exits_one_without_traceback(tmp_path, command, doc, messa
     assert "Traceback" not in result.stderr
 
 
+def test_classify_names_a_character_that_is_no_bit(tmp_path):
+    doc = {"subshift": {"generator": "explicit", "bits": "0 1", "window": 1}}
+    result = run_cli(["classify", write_descriptor(tmp_path, doc)])
+    assert result.returncode == 1, result.stderr
+    assert result.stderr == "input error: bit ' ' at position 1 is not '0' or '1'\n"
+
+
 def test_classify_subshift_descriptor(tmp_path):
     doc = {"subshift": {"generator": "explicit", "bits": "01" * 10, "window": 2}}
     path = write_descriptor(tmp_path, doc)

@@ -168,13 +168,13 @@ def test_zero_witness_is_convex_combination():
 
 
 def test_certify_raises_on_a_matrix_that_is_no_zero():
-    # The identity is a convex combination but absorbs no shift.
-    with pytest.raises(AssertionError, match="generator 'shift'"):
-        _certify({(0, 1, 2): F(1)}, cyclic_shift_system(3))
+    # The identity is a convex combination, but not the zero of the shift.
+    with pytest.raises(AssertionError, match="not the witness's convex combination"):
+        _certify({(0, 1, 2): F(1)}, cyclic_shift_system(3), (0, 0, 0))
     with pytest.raises(AssertionError, match="not convex"):
-        _certify({(0, 1, 2): F(1, 2)}, cyclic_shift_system(3))
+        _certify({(0, 1, 2): F(1, 2)}, cyclic_shift_system(3), (0, 0, 0))
     cert = _certify({(1, 2, 0): F(1, 3), (2, 0, 1): F(1, 3), (0, 1, 2): F(1, 3)},
-                    cyclic_shift_system(3))
+                    cyclic_shift_system(3), (0, 0, 0))
     assert cert.matrix == OperatorMatrix.from_rows([[F(1, 3)] * 3] * 3)
 
 

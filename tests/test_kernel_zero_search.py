@@ -1,10 +1,12 @@
 """The zero search over the Ellis kernel, and zero identities on image arrays.
 
 ``convex_koehler_zero`` solves its exact LP over the kernel K alone, and
-``_absorbed`` reads A_t Q = Q A_t = Q off every row of an image array at
-once.  Its references are the pair of exact matrix products and the
-oracle ``absorbs``, which checks one image tuple at a time on the rows of
-Q.  The commuting zero composes one period of each map's powers as image
+``_absorbed`` reads A_t Q = Q A_t = Q off the zero's support labels for
+every row of an image array at once.  Its reference is the oracle
+``absorbed``, the earlier array check that pushes the columns of any Q
+forward, whose own references are the pair of exact matrix products and
+the oracle ``absorbs``, which checks one image tuple at a time on the
+rows of Q.  The commuting zero composes one period of each map's powers as image
 tuples; its reference convolves per-map limits keyed by ``Transformation``.
 """
 
@@ -19,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergoscope import envelope
+import oracles
 from ergoscope.envelope import (
     _absorbed,
-    _zero_by_cesaro_product,
     classify,
+    convex_koehler_zero,
     ellis,
     power_periodicity,
     verify_zero_on_all_elements,
@@ -31,7 +33,7 @@ from ergoscope.envelope import (
 from ergoscope.operators import OperatorMatrix, adjoint_matrix, pushforward
 from ergoscope.systems import FiniteSystem, random_system
 from ergoscope.transforms import Transformation, kernel
-from oracles import absorbs
+from oracles import absorbed, absorbs
 
 # Entries of this denominator scale a column past 2**63, onto Python integers.
 WIDE = 3 ** 40
@@ -86,9 +88,9 @@ def test_absorbs_tells_the_two_sides_apart():
     assert not absorbs(only_right, t.images)
     assert absorbs(OperatorMatrix.from_rows([[1, 1], [0, 0]]), t.images)
     images = np.array([t.images, (0, 1), (1, 0)])
-    assert _absorbed(only_left, images).tolist() == [False, True, False]
-    assert _absorbed(only_right, images).tolist() == [False, True, False]
-    assert _absorbed(OperatorMatrix.from_rows([[1, 1], [0, 0]]), images).tolist() == [
+    assert absorbed(only_left, images).tolist() == [False, True, False]
+    assert absorbed(only_right, images).tolist() == [False, True, False]
+    assert absorbed(OperatorMatrix.from_rows([[1, 1], [0, 0]]), images).tolist() == [
         True, True, False]
 
 
@@ -100,14 +102,14 @@ def wide_columns(q):
 
 
 def assert_absorbed_matches(q, images):
-    """``_absorbed`` on the stacked rows, in one block and in blocks of one
-    row, equals the oracle and the exact matrix products row by row."""
+    """The oracle ``absorbed`` on the stacked rows, in one block and in blocks
+    of one row, equals ``absorbs`` and the exact matrix products row by row."""
     products = [adjoint_matrix(Transformation(row)) for row in images]
     expected = [a @ q == q and q @ a == q for a in products]
     assert [absorbs(q, row) for row in images] == expected
-    assert _absorbed(q, np.array(images)).tolist() == expected
-    with mock.patch.object(envelope, "PUSH_BLOCK", 1):
-        assert _absorbed(q, np.array(images)).tolist() == expected
+    assert absorbed(q, np.array(images)).tolist() == expected
+    with mock.patch.object(oracles, "PUSH_BLOCK", 1):
+        assert absorbed(q, np.array(images)).tolist() == expected
     return expected
 
 
@@ -134,7 +136,7 @@ def test_absorbed_on_python_integers():
 
 def test_absorbed_on_classify_certificates():
     """Every certificate ``classify`` finds is absorbed by every closure
-    element, and on random maps the array check agrees with the oracle."""
+    element, and on random maps the label check agrees with the oracle."""
     rng = random.Random(21)
     found = rejected = 0
     for seed in range(40):
@@ -143,11 +145,12 @@ def test_absorbed_on_classify_certificates():
         if report.zero.status != "found":
             continue
         found += 1
-        q, sg = report.zero.certificate.matrix, ellis(sys_)
-        assert _absorbed(q, sg.images).all()
-        assert all(absorbs(q, row) for row in sg.images.tolist())
+        cert, sg = report.zero.certificate, ellis(sys_)
+        assert _absorbed(cert, sg.images).all()
+        assert all(absorbs(cert.matrix, row) for row in sg.images.tolist())
         maps = [tuple(rng.randrange(sys_.n) for _ in range(sys_.n)) for _ in range(60)]
-        expected = assert_absorbed_matches(q, maps)
+        expected = assert_absorbed_matches(cert.matrix, maps)
+        assert _absorbed(cert, np.array(maps)).tolist() == expected
         rejected += expected.count(False)
     assert found >= 20 and rejected >= 500
 
@@ -165,7 +168,10 @@ def test_one_element_kernel_gets_a_zero(n, g, seed, size):
     (z,) = kernel(sg)
     assert cert.witness == ((Transformation(tuple(sg.images[z].tolist())), Fraction(1)),)
     assert verify_zero_on_all_elements(cert, sg) == 2 * size
-    not_a_zero = dataclasses.replace(cert, matrix=OperatorMatrix.identity(n))
+    # Every state its own support: the closed form of the identity matrix.
+    not_a_zero = dataclasses.replace(cert, labels=tuple(range(n)),
+                                     supports=tuple(frozenset({x}) for x in range(n)))
+    assert not_a_zero.matrix == OperatorMatrix.identity(n)
     with pytest.raises(AssertionError, match="zero identity fails on element"):
         verify_zero_on_all_elements(not_a_zero, sg)
 
@@ -203,4 +209,4 @@ def commuting_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(commuting_systems())
 def test_cesaro_product_matches_the_convolved_limits(sys_):
-    assert _zero_by_cesaro_product(sys_).witness == ref_cesaro_product(sys_)
+    assert convex_koehler_zero(sys_).certificate.witness == ref_cesaro_product(sys_)

@@ -8,11 +8,12 @@ kernel.  The references below are the earlier definitions: the principal
 ideal of the product of all elements, the common right and left zeros,
 the identity-based witness choice, and the search that averaged generator
 words before an LP over the whole closure, with zero identities checked
-by exact matrix products.
+by exact matrix products on the pushforward sum of the witness.
 """
 
 import dataclasses
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from ergoscope import envelope, rational
 from ergoscope.envelope import (
     Budget,
-    ZeroCertificate,
     ZeroSearchResult,
     classify,
     convex_koehler_zero,
@@ -88,6 +88,12 @@ def ref_witness(sys_, sg):
 REF_MAX_WORD_LEN = 6
 
 
+class RefCertificate(NamedTuple):
+    matrix: object
+    witness: tuple
+    checks: tuple
+
+
 def ref_certify(weights, sys_):
     total = sum(weights.values())
     if total != 1 or any(w < 0 for w in weights.values()):
@@ -101,7 +107,7 @@ def ref_certify(weights, sys_):
             return None
         checks.append(f"A[{name}] Q = Q A[{name}] = Q")
     checks.append("Q is a convex combination of semigroup pushforwards")
-    return ZeroCertificate(q, witness, tuple(checks))
+    return RefCertificate(q, witness, tuple(checks))
 
 
 def ref_word_average(sys_, max_len):
@@ -147,12 +153,13 @@ def ref_feasibility(sys_, sg):
 
 def ref_convex_koehler_zero(sys_, budget=None):
     budget = budget or Budget()
+    screen = envelope._zero_support_labels(sys_)
     if sys_.commuting:
-        cert = envelope._zero_by_cesaro_product(sys_)
+        weights = envelope._zero_by_cesaro_product(sys_)
+        cert = ref_certify({Transformation(t): w for t, w in weights.items()}, sys_)
         return ZeroSearchResult("found", cert, "cesaro_product")
-    reason = envelope._zero_refuted_by_minimal_sets(sys_)
-    if reason is not None:
-        return ZeroSearchResult("absent", None, "minimal_set_refutation", (reason,))
+    if isinstance(screen, str):
+        return ZeroSearchResult("absent", None, "minimal_set_refutation", (screen,))
     cert = ref_word_average(sys_, REF_MAX_WORD_LEN)
     if cert is not None:
         return ZeroSearchResult("found", cert, "word_average")

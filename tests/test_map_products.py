@@ -224,7 +224,7 @@ def test_classify_scales_each_column_of_the_zero_once(monkeypatch, sys_):
     monkeypatch.setattr(rational, "integer_form", lambda xs: calls.append(1) or scale(xs))
     report = classify(sys_)
     assert report.zero.status == "found"
-    assert len(calls) == 1     # the witness weights; Q records the integers it summed
+    assert len(calls) == 1     # the witness weights; Q is held as support labels
 
 
 # The trailing window.

@@ -82,3 +82,12 @@ def test_lp_simplex_constraint():
     assert x is not None and sum(x) == 1 and x[0] == x[1]
     # x >= 0 with x0 + x1 = -1 is infeasible.
     assert rational.lp_feasible_point([[F(1), F(1)]], [F(-1)]) is None
+
+
+def test_lp_artificials_start_with_zero_reduced_cost():
+    # Infeasible: the first two rows force x0 + 2 x1 + 2 x3 + 1 = 0.  With
+    # the artificials' reduced costs at -1 the tableau pivoted one back in
+    # and returned (0, 0, 0, 0, 1).
+    rows = [[F(x) for x in row] for row in ([1, 0, -1, 1, 0], [1, -2, -2, 0, 0],
+                                            [1, -2, -2, -1, -1])]
+    assert rational.lp_feasible_point(rows, [F(-1), F(-1), F(-2)]) is None

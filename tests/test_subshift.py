@@ -53,6 +53,17 @@ def test_rolandex_matches_brute_force_prefix():
     assert rolandex_prefix(length).factor(0, length) == tuple(bits[:length])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\uff11\uff10", "bit '\uff11' at position 0 is not '0' or '1'"),
+    ("0 1", "bit ' ' at position 1 is not '0' or '1'"),
+    ("0112", "bit '2' at position 3 is not '0' or '1'"),
+])
+def test_binary_word_from_string_reads_only_0_and_1(text, message):
+    with pytest.raises(ValueError) as info:
+        BinaryWord.from_string(text)
+    assert str(info.value) == message
+
+
 def test_binary_word_round_trip():
     word = BinaryWord.from_string("0101101")
     assert word.length == 7

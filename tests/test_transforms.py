@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from ergoscope.envelope import classify, report_json
+from ergoscope.systems import FiniteSystem
 from ergoscope.transforms import (
     SizeCapError,
     Transformation,
@@ -55,6 +57,15 @@ def test_transformation_rejects_entries_that_are_not_integers(images, bad):
 def test_transformation_accepts_numpy_integers():
     t = Transformation((np.int64(1), np.int32(0)))
     assert t.compose(t).is_identity
+
+
+def test_numpy_images_are_stored_as_python_ints():
+    t = Transformation(tuple(np.array([1, 2, 0])))
+    assert t == SHIFT3 and hash(t) == hash(SHIFT3)
+    assert all(type(y) is int for y in t.images)
+    systems = [FiniteSystem(("0", "1", "2"), (("shift", s),)) for s in (t, SHIFT3)]
+    assert systems[0].system_id() == systems[1].system_id()
+    assert report_json(classify(systems[0])) == report_json(classify(systems[1]))
 
 
 def test_closure_identity():

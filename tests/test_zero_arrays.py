@@ -4,10 +4,12 @@
 elimination; since the reduced echelon form depends only on the row space,
 appending such rows and shuffling them must leave the point unchanged.
 ``verify_zero_on_all_elements`` and ``_certify`` check a whole image array
-at once, yet name the first failing element or generator in order.
+at once, yet name the first failing element or generator in order, and
+``_certify`` names a witness that does not sum to the zero.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -25,7 +27,7 @@ from ergoscope.envelope import (
     ellis,
     verify_zero_on_all_elements,
 )
-from ergoscope.operators import adjoint_matrix
+from ergoscope.operators import OperatorMatrix, adjoint_matrix
 from ergoscope.systems import FiniteSystem, random_system
 from ergoscope.transforms import SizeCapError, Transformation
 from oracles import absorbs
@@ -101,8 +103,9 @@ def test_lp_point_on_feasibility_rows_ignores_repeats_and_order(gens, rng):
 
 
 def test_verify_names_the_first_failing_element():
-    """Q = A_z for each closure element z absorbs some elements and not
-    others; the message names the first failure in ``sg.images`` order."""
+    """Q = A_e for the idempotent power e of each closure element, held in
+    closed form on the singletons of its image, absorbs some elements and
+    not others; the message names the first failure in ``sg.images`` order."""
     sys_ = random_system(4, 2, seed=9)
     sg = ellis(sys_)
     cert = classify(sys_).zero.certificate
@@ -110,35 +113,48 @@ def test_verify_names_the_first_failing_element():
     rows = sg.images.tolist()
     later = 0
     for z in rows:
-        q = adjoint_matrix(Transformation(tuple(z)))
-        first = next((i for i, row in enumerate(rows) if not absorbs(q, row)), None)
+        # z^(n!) is idempotent: n! passes the preperiod and is a multiple of the period.
+        e = Transformation(tuple(z)).power(math.factorial(sys_.n))
+        image = sorted(set(e.images))
+        q = dataclasses.replace(cert, labels=tuple(image.index(y) for y in e.images),
+                                supports=tuple(frozenset({y}) for y in image))
+        assert q.matrix == adjoint_matrix(e)
+        first = next((i for i, row in enumerate(rows) if not absorbs(q.matrix, row)), None)
         if first is None:
-            assert verify_zero_on_all_elements(dataclasses.replace(cert, matrix=q), sg)
+            assert verify_zero_on_all_elements(q, sg)
             continue
         later += first > 0
         with pytest.raises(AssertionError) as info:
-            verify_zero_on_all_elements(dataclasses.replace(cert, matrix=q), sg)
+            verify_zero_on_all_elements(q, sg)
         assert str(info.value) == f"zero identity fails on element {tuple(rows[first])}"
     assert later >= 1
 
 
 def test_certify_names_the_first_failing_generator():
-    sys_ = FiniteSystem(("0", "1", "2"), (
-        ("fix", Transformation((0, 1, 2))),
-        ("cycle", Transformation((1, 2, 0))),
-        ("const", Transformation((0, 0, 0))),
+    # Supports {0, 1} and {2, 3}, so the zero's labels are (0, 0, 1, 1).
+    sys_ = FiniteSystem(("0", "1", "2", "3"), (
+        ("fix", Transformation((0, 1, 2, 3))),
+        ("low", Transformation((1, 0, 2, 3))),
+        ("high", Transformation((0, 1, 3, 2))),
     ))
+    quarter = Fraction(1, 4)
+    average = {(0, 1, 2, 3): quarter, (1, 0, 2, 3): quarter,
+               (0, 1, 3, 2): quarter, (1, 0, 3, 2): quarter}
     with pytest.raises(AssertionError) as info:
-        _certify({(0, 1, 2): Fraction(1)}, sys_)
-    assert str(info.value) == "Q is not a zero: generator 'cycle' fails A Q = Q A = Q"
-    third = Fraction(1, 3)
-    average = {(0, 1, 2): third, (1, 2, 0): third, (2, 0, 1): third}
+        _certify(average, sys_, (0, 1, 0, 1))
+    assert str(info.value) == "Q is not a zero: generator 'low' fails A Q = Q A = Q"
     with pytest.raises(AssertionError) as info:
-        _certify(average, sys_)
-    assert str(info.value) == "Q is not a zero: generator 'const' fails A Q = Q A = Q"
-    cycle_only = FiniteSystem(sys_.states, sys_.generators[1:2])
-    cert = _certify(average, cycle_only)
-    assert cert.checks == ("A[cycle] Q = Q A[cycle] = Q",
+        _certify(average, FiniteSystem(sys_.states, sys_.generators[::-1]), (0, 1, 0, 1))
+    assert str(info.value) == "Q is not a zero: generator 'high' fails A Q = Q A = Q"
+    with pytest.raises(AssertionError) as info:
+        _certify({(0, 1, 2, 3): Fraction(1)}, sys_, (0, 0, 1, 1))
+    assert str(info.value) == "Q is not the witness's convex combination"
+    low_only = FiniteSystem(sys_.states, sys_.generators[1:2])
+    cert = _certify({(0, 1, 2, 3): Fraction(1, 2), (1, 0, 2, 3): Fraction(1, 2)},
+                    low_only, (0, 0, 1, 2))
+    assert cert.checks == ("A[low] Q = Q A[low] = Q",
                            "Q is a convex combination of semigroup pushforwards")
-    assert cert.matrix.rows == ((third,) * 3,) * 3
+    half = Fraction(1, 2)
+    assert cert.matrix == OperatorMatrix.from_rows(
+        [[half, half, 0, 0], [half, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
