@@ -22,13 +22,7 @@ import numpy as np
 from .transforms import SizeCapError, check_int, element_cap
 
 CLAMP = 1.0 - 1e-12
-# iterate_stepwise: its buffer in float64 entries (1 MiB); the live count
-# below which a block is one accumulate; the steps between bit comparisons,
-# which keep their cost near 1/32 of a step; a compaction's cost in steps.
 STEP_BUFFER = 2**17
-ACCUMULATE_BELOW = 128
-CHECK_STEPS = 32
-COMPACT_COST = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,24 +92,19 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     collapse: a uniform mu on ``build_grid(2, 100)`` has 152 distinct pairs
     in 201 entries.
 
+    Blocks: each live entry owns one row of a buffer of ``STEP_BUFFER``
+    float64 entries (1 MiB), its start value in the first column and its
+    diagonal entry in the others, so one ``np.multiply.accumulate`` along
+    the rows steps every live entry through the block, rounding strictly
+    in step order; a row holds at least one step.  The pi entries take the
+    first rows, so after each block every step of theirs is compared with
+    mu through a view of the buffer.
+
     Fixed points: an entry whose step leaves its bits unchanged (with
     d > 0: +-0, +-inf, NaN, a subnormal that x * d rounds back to x) keeps
-    them at every later step.  Such off-pi entries leave the live set,
-    compared bitwise on the ``uint64`` view of the last two rows a block
-    computed; the pi entries never leave.
-
-    Loop order: the steps run in blocks of rows of one buffer of at most
-    1 MiB; when two rows of distinct entries do not fit, one row is
-    stepped in place and nothing leaves, as there are no two rows to
-    compare.  A block over fewer than ``ACCUMULATE_BELOW`` live entries is
-    one ``np.multiply.accumulate`` down the step axis, which rounds
-    strictly in step order, so its bits are those of the step loop that
-    runs a wider block, one ``np.multiply`` per step.  After each block
-    the pi entries of every step are compared with mu.  The bit
-    comparison runs after a block that ends ``CHECK_STEPS`` or more steps
-    past the last one, and it drops the fixed entries when they would
-    take at least ``COMPACT_COST`` times the live count in multiplies over
-    the steps left, about what a compaction costs.
+    them at every later step.  After each block the off-pi entries whose
+    last step left their bits unchanged, compared on the ``uint64`` view
+    of the last two columns, leave the live set; the pi entries never leave.
     """
     _check_measure(model, mu)
     check_int(n, "n", 0)
@@ -125,38 +114,30 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     _, first, inverse = np.unique(keys.view(np.dtype((np.void, 16))).ravel(),
                                   return_index=True, return_inverse=True)
     out = values[first]
-    # Sorted and without repeats; np.unique here would import numpy.ma.
-    pi_reps = np.array(sorted(set(inverse[model.pi_indices].tolist())))
-    pi_mass = out[pi_reps]
-    live = np.arange(len(out))
-    pi_pos = pi_reps
-    diagonal = model.diagonal[first]
-    start = out
-    buf = np.empty(max(len(out), min(STEP_BUFFER, n * len(out))))
-    done = checked = 0
+    pi = np.zeros(len(out), dtype=bool)
+    pi[inverse[model.pi_indices]] = True
+    pi_rows = np.count_nonzero(pi)
+    live = np.argsort(~pi, kind="stable")
+    pi_mass = out[live[:pi_rows], None]
+    diagonal = model.diagonal[first[live], None]
+    start = out[live]
+    buf = np.empty(max(2 * len(out), min(STEP_BUFFER, (n + 1) * len(out))))
+    done = 0
     while done < n:
-        rows = min(n - done, len(buf) // len(live))
-        block = buf[:rows * len(live)].reshape(rows, len(live))
-        if len(live) < ACCUMULATE_BELOW:
-            np.multiply(start, diagonal, out=block[0])
-            block[1:] = diagonal
-            np.multiply.accumulate(block, out=block)
-        else:
-            for row in block:
-                start = np.multiply(start, diagonal, out=row)
-        assert (block[:, pi_pos] == pi_mass).all()
-        done += rows
-        start = block[-1]
-        if rows > 1 and done < n and done - checked >= CHECK_STEPS:
-            checked = done
-            moved = start.view(np.uint64) != block[-2].view(np.uint64)
-            moved[pi_pos] = True
-            if (len(live) - np.count_nonzero(moved)) * (n - done) >= COMPACT_COST * len(live):
-                out[live] = start
-                live, start, diagonal = live[moved], start[moved], diagonal[moved]
-                pi_pos = live.searchsorted(pi_reps)
-    # A slice copies where the full index array would scatter.
-    out[live if len(live) < len(out) else slice(None)] = start
+        steps = min(n - done, len(buf) // len(live) - 1)
+        block = buf[:len(live) * (steps + 1)].reshape(len(live), steps + 1)
+        block[:, 0] = start
+        block[:, 1:] = diagonal
+        np.multiply.accumulate(block, axis=1, out=block)
+        assert (block[:pi_rows] == pi_mass).all()
+        done += steps
+        start = block[:, -1]
+        moved = start.view(np.uint64) != block[:, -2].view(np.uint64)
+        moved[:pi_rows] = True
+        if not moved.all():
+            out[live] = start
+            live, start, diagonal = live[moved], start[moved], diagonal[moved]
+    out[live] = start
     return out[inverse]
 
 

@@ -208,7 +208,7 @@ def _zero_by_cesaro_product(sys: FiniteSystem) -> dict[tuple[int, ...], Fraction
 
 
 def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> dict | None:
-    """Exact linear feasibility over the hull of the kernel K.
+    """Exact linear feasibility over the hull of the kernel K: the witness.
 
     A zero Q = sum lambda_i A_{s_i} of co(S) lies in co(K): for any k in
     K, Q = Q A_k = sum lambda_i A_{s_i o k}, and every s_i o k lies in
@@ -216,7 +216,9 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> dict | None:
     K, one per element of ``sorted(kernel(sg))``, with constraints
     A_g Q = Q A_g = Q for every generator, where A_g A_k = A_{g o k} and
     A_k A_g = A_{k o g} are again kernel columns.  An exact phase-1
-    simplex solves it, and a None here is a proof that no zero exists.
+    simplex solves it.  It runs only once the minimal-set screen has
+    passed, which proves that a zero exists, so a None here means the LP
+    or that proof is wrong.
     """
     ker = sorted(kernel(sg))
     own = sg.images[ker]
@@ -273,12 +275,14 @@ def convex_koehler_zero(
     closed form, which a witness must sum to: for commuting generators the
     exact Cesàro product, otherwise exact linear feasibility over the hull
     of the Ellis kernel, which is complete because a zero of co(S) lies in
-    co(K) (see ``_zero_by_feasibility``).  When the closure exceeds
-    ``budget.max_elements`` or the kernel exceeds ``budget.lp_max_elements``,
-    the result is reported as undetermined, never guessed.  ``_ellis`` is
-    the closure ``classify`` already built, or the ``SizeCapError`` it
-    raised: the closure is the one costly input, so a capped closure is
-    never built twice.
+    co(K) (see ``_zero_by_feasibility``).  The screen decides: once it
+    passes a zero exists, so a witness search that finds none raises
+    AssertionError rather than report the zero absent.  When the closure
+    exceeds ``budget.max_elements`` or the kernel exceeds
+    ``budget.lp_max_elements``, the result is reported as undetermined,
+    never guessed.  ``_ellis`` is the closure ``classify`` already
+    built, or the ``SizeCapError`` it raised: the closure is the one
+    costly input, so a capped closure is never built twice.
     """
     budget = budget or Budget()
     labels = _zero_support_labels(sys)
@@ -302,8 +306,9 @@ def convex_koehler_zero(
              f"{budget.lp_max_elements}",),
         )
     weights = _zero_by_feasibility(sys, sg)
-    cert = None if weights is None else _certify(weights, sys, labels)
-    return ZeroSearchResult("absent" if cert is None else "found", cert, "linear_feasibility")
+    if weights is None:
+        raise AssertionError("the minimal-set screen passed but the kernel LP found no zero")
+    return ZeroSearchResult("found", _certify(weights, sys, labels), "linear_feasibility")
 
 
 def verify_zero_on_all_elements(cert: ZeroCertificate, sg: TransSemigroup) -> int:

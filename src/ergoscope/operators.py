@@ -189,10 +189,10 @@ class Measure:
 
     @classmethod
     def uniform_on(cls, n: int, support) -> "Measure":
-        support = sorted(set(support))
+        support = set(support)
         if not support:
             raise ValueError("empty support")
-        for x in support:
+        for x in sorted(support):
             if x not in range(n):
                 raise ValueError(f"state {x!r} out of range({n})")
         w = Fraction(1, len(support))
@@ -368,7 +368,9 @@ def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
     """
     n = sys.n
     phi = congruence_closure(sys, [(x, g(x)) for g in sys.generator_maps for x in range(n)])
-    components = [frozenset(x for x in range(n) if phi[x] == c) for c in range(max(phi) + 1)]
+    components = [set() for _ in range(max(phi) + 1)]
+    for x, c in enumerate(phi):
+        components[c].add(x)
     supports = invariant_supports(sys)
     separating = len({phi[min(m)] for m in supports}) == len(supports)
     return DecompositionReport(len(components), n - len(supports),

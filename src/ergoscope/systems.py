@@ -89,6 +89,12 @@ class FiniteSystem:
         return tuple(r for x, r in enumerate(reach)
                      if x <= min(r) and all(x in reach[y] for y in r))
 
+    @cached_property
+    def invariant_supports(self) -> tuple[frozenset[int], ...]:
+        """The minimal sets that every generator permutes, sorted by least element."""
+        return tuple(m for m in self.minimal_sets
+                     if all(len({g(x) for x in m}) == len(m) for g in self.generator_maps))
+
     def system_id(self) -> str:
         if self.name:
             return self.name
@@ -130,8 +136,7 @@ def minimal_sets(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
 
 def invariant_supports(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
     """The minimal sets that every generator permutes, sorted by least element."""
-    return tuple(m for m in sys.minimal_sets
-                 if all(len({g(x) for x in m}) == len(m) for g in sys.generator_maps))
+    return sys.invariant_supports
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergoscope.cosgrid import (
-    ACCUMULATE_BELOW,
     GridLimitReport,
     build_grid,
     cesaro_adjoint,
@@ -198,11 +197,9 @@ def negated_off_pi(model):
 def test_stepwise_matches_reference_across_blocks(model_mu):
     model, mu = model_mu
     block = max(1, 2**17 // len(mu))
-    # At block + 5 steps no fixed entry has left the live set, and at
-    # block + 40 they have.  On the Dirac example that takes the live count
-    # below ACCUMULATE_BELOW at once; on the uniform one, by 3 * block.
-    # The reference runs on from one count to the next, as a step reads
-    # only the values of the step before.
+    # The counts reach past the first block and past the first fixed
+    # entries leaving the live set.  The reference runs on from one count
+    # to the next, as a step reads only the values of the step before.
     ref, done = mu, 0
     for n in sorted((0, 1, block - 1, block, block + 1, block + 5, block + 40, 3 * block + 7)):
         ref, done = oracles.iterate_stepwise(model, ref, n - done), n
@@ -230,6 +227,23 @@ def test_stepwise_matches_reference_across_distinct_blocks(model_mu):
         assert iterate_stepwise(model, mu, n).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stepwise_one_step_blocks_match_reference(n):
+    # Over 65,536 distinct entries a row of the buffer holds one step, so
+    # the fixed entries are found against each block's start values.
+    model = build_grid(1, 2**17)
+    rng = np.random.default_rng(7)
+    mu = rng.standard_normal(len(model.points))
+    off = np.flatnonzero(model.diagonal != 1.0)
+    specials = [0.0, -0.0, np.inf, np.nan, 5e-324]
+    mu[off[:1000]] = np.resize(specials, 1000)
+    assert distinct_pairs(model, mu) > 2**16
+    with np.errstate(invalid="ignore"):
+        out = iterate_stepwise(model, mu, n)
+        ref = oracles.iterate_stepwise(model, mu, n)
+    assert out.tobytes() == ref.tobytes()
+
+
 def test_stepwise_keys_hold_the_value_and_the_diagonal_entry():
     # d[1], d[99] and d[199] have the same bits; only mu tells them apart.
     model = build_grid(2, 100)
@@ -244,8 +258,8 @@ def test_stepwise_keys_hold_the_value_and_the_diagonal_entry():
 
 
 class MultiplyWidths:
-    """``np.multiply`` recording the width of each call, and of each
-    accumulate's rows."""
+    """``np.multiply`` recording the width of each call, and the number of
+    entries each accumulate along ``axis=1`` steps: its rows."""
 
     multiply = np.multiply
 
@@ -257,7 +271,8 @@ class MultiplyWidths:
         return self.multiply(values, factors, out=out)
 
     def accumulate(self, rows, axis=0, out=None):
-        self.widths.append(rows.shape[1])
+        assert axis == 1
+        self.widths.append(rows.shape[0])
         return self.multiply.accumulate(rows, axis=axis, out=out)
 
 
@@ -271,8 +286,18 @@ def test_stepwise_multiplies_distinct_live_entries_only(monkeypatch):
         patch.setattr(np, "multiply", widths)
         final = iterate_stepwise(model, mu, 10**5)
     assert max(widths.widths) == distinct
-    # The fixed entries have left the live set by the last block.
-    assert widths.widths[-1] < ACCUMULATE_BELOW
+    # Each block but the last fills the 1 MiB buffer: one row per live
+    # entry, its start value and then its steps.
+    s = sum(2**17 // width - 1 for width in widths.widths[:-1])
+    assert s < 10**5 <= s + 2**17 // widths.widths[-1] - 1
+    # The last block steps the pi entries and those whose step s changed
+    # their bits: the fixed entries have left the live set.
+    before = iterate_stepwise(model, mu, s - 1)
+    moved = before.view(np.uint64) != oracles.iterate_stepwise(model, before, 1).view(np.uint64)
+    moved[model.pi_indices] = True
+    live = len(set(zip(mu[moved].view(np.uint64).tolist(),
+                       model.diagonal[moved].view(np.uint64).tolist())))
+    assert widths.widths[-1] == live < distinct
     assert hashlib.sha256(final.tobytes()).hexdigest() == STEPWISE_SHA256
 
 
@@ -309,9 +334,9 @@ class LateFault:
     """``np.multiply`` whose factors of exactly 1.0, the pi entries of the
     diagonal, multiply as ``off_by_one_ulp``'s from the ``step``-th step
     on.  A call is one step, its second operand the factors, and so is
-    each row after the first of an accumulate, so the first wrong pi mass
-    appears at that step however the steps are batched: with a fixed
-    diagonal it always appears at step 1."""
+    each column after the first of an accumulate along ``axis=1``, so the
+    first wrong pi mass appears at that step however the steps are
+    batched: with a fixed diagonal it always appears at step 1."""
 
     multiply = np.multiply
 
@@ -330,9 +355,9 @@ class LateFault:
         return self.multiply(values, self._factors(factors)[0], out=out)
 
     def accumulate(self, rows, axis=0, out=None):
-        assert axis == 0
-        rows = np.concatenate([rows[:1], self._factors(rows[1:])])
-        return self.multiply.accumulate(rows, out=out)
+        assert axis == 1
+        rows = np.concatenate([rows[:, :1], self._factors(rows[:, 1:].T).T], axis=1)
+        return self.multiply.accumulate(rows, axis=1, out=out)
 
 
 @pytest.mark.parametrize("stepwise", [iterate_stepwise, oracles.iterate_stepwise],
@@ -348,13 +373,17 @@ def test_stepwise_catches_a_wrong_pi_entry(stepwise, monkeypatch):
             patch.setattr(np, "multiply", LateFault(step))
             stepwise(model, mu, n)
 
-    block = 2**17 // len(mu)
+    block = 2**17 // distinct_pairs(model, mu) - 1
+    # The fault is at the last step of the first, full block.
+    late_fault(block + 1, block)
+    with pytest.raises(AssertionError):
+        late_fault(block, block)
     # The first block is full and right; the fault is in the partial last one.
     late_fault(block + 3, block + 2)
     with pytest.raises(AssertionError):
         late_fault(block + 3, block + 5)
-    # By 4 * block the fixed entries have left the live set, and fewer than
-    # ACCUMULATE_BELOW are live; the pi entries must still be stepped and checked.
+    # After the first block the fixed entries have left the live set; the pi
+    # entries must still be stepped and checked.
     late_fault(4 * block + 3, 4 * block + 2)
     with pytest.raises(AssertionError):
         late_fault(4 * block + 3, 4 * block + 5)
@@ -419,8 +448,8 @@ def test_golden_stepwise_bytes_and_benchmark_reports():
     finally:
         tracemalloc.stop()
     assert hashlib.sha256(final.tobytes()).hexdigest() == STEPWISE_SHA256
-    # One buffer of at most 1 MiB and its pi check; 1.03 MiB before the live set.
-    assert peak <= 1.25 * 2**20
+    # One buffer of at most 1 MiB; the pi check reads its rows in place.
+    assert peak <= 1.1 * 2**20
     for (subdivisions, tol), expected in BENCHMARK_REPORTS.items():
         model = build_grid(2, subdivisions)
         assert repr(weak_star_limit_check(model, uniform_weights(model), tol)) == repr(expected)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ergoscope import rational
 from ergoscope.envelope import (
     Budget,
     Verdict,
@@ -126,6 +127,18 @@ def test_zero_absent_for_two_constants():
     from ergoscope.envelope import _zero_by_feasibility
 
     assert _zero_by_feasibility(TWO_CONSTANTS, ellis(TWO_CONSTANTS)) is None
+
+
+def test_lp_without_a_point_after_the_screen_passed_is_an_error(monkeypatch):
+    # S3 from a 3-cycle and a transposition: the screen passes, so a zero
+    # exists, and an LP that finds none is wrong, never an "absent" verdict.
+    sys_ = FiniteSystem(("a", "b", "c"), (("r", Transformation((1, 2, 0))),
+                                          ("s", Transformation((1, 0, 2)))))
+    assert not sys_.commuting
+    assert convex_koehler_zero(sys_).method == "linear_feasibility"
+    monkeypatch.setattr(rational, "lp_feasible_point", lambda rows, rhs: None)
+    with pytest.raises(AssertionError, match="kernel LP found no zero"):
+        convex_koehler_zero(sys_)
 
 
 def test_zero_two_fixed_points_rank_two():

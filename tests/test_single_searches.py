@@ -172,6 +172,8 @@ def test_reach_serves_the_per_call_searches(sys_):
     assert transitivity(sys_) == ref_transitivity(sys_)
     assert {mu.support for mu in invariant_measures(sys_)} == ref_supports(sys_)
     assert invariant_supports(sys_) == tuple(sorted(ref_supports(sys_), key=min))
+    # Computed once per system, like its minimal sets.
+    assert invariant_supports(sys_) is invariant_supports(sys_)
     labels = _zero_support_labels(sys_)
     if isinstance(labels, str):
         assert labels == ref_zero_refuted_by_minimal_sets(sys_)
