@@ -109,10 +109,17 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     _check_measure(model, mu)
     check_int(n, "n", 0)
     values = mu.astype(float)
-    # A 1-D unique over 16-byte keys: np.unique(axis=0) would call np.multiply.
-    keys = np.stack([values.view(np.uint64), model.diagonal.view(np.uint64)], axis=1)
-    _, first, inverse = np.unique(keys.view(np.dtype((np.void, 16))).ravel(),
-                                  return_index=True, return_inverse=True)
+    # Group equal bit pairs off one lexsort of the two uint64 columns.  It
+    # sorts the d bits first, in grid order, where |cos| runs in monotone
+    # stretches and sorts fast.
+    bits = model.diagonal.view(np.uint64), values.view(np.uint64)
+    order = np.lexsort(bits)
+    d_bits, mu_bits = (column[order] for column in bits)
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (mu_bits[1:] != mu_bits[:-1]) | (d_bits[1:] != d_bits[:-1])
+    first = order[fresh]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(fresh) - 1
     out = values[first]
     pi = np.zeros(len(out), dtype=bool)
     pi[inverse[model.pi_indices]] = True

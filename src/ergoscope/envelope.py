@@ -226,7 +226,8 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> dict | None:
     # A_t - A_k for t = g o k (side 0) and t = k o g (side 1), where
     # (A_t)[r][c] = [t(c) == r].
     states = np.arange(sys.n)[:, None]
-    moved = sg.images[np.stack([sg.left[ker], sg.right[ker]])]
+    gens = sg.images[list(sg.generator_indices)]
+    moved = np.stack([gens[:, own].transpose(1, 0, 2), own[:, gens]])
     block = (moved[..., None, :] == states).astype(np.int8) - (own[:, None, :] == states)[:, None]
     rows = list(map(tuple, block.transpose(2, 3, 4, 0, 1).reshape(-1, len(ker)).tolist()))
     rows.append((Fraction(1),) * len(ker))

@@ -104,16 +104,31 @@ class Transformation:
         return all(y == x for x, y in enumerate(self.images))
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One exact key per row: the row's own bytes.
-
-    Entries are cast to the smallest unsigned big-endian type that holds
-    n - 1, so the keys, viewed as one byte string per row, compare as the
-    rows do lexicographically.
-    """
+def _big_endian(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in the smallest unsigned big-endian type that holds n - 1."""
     n = rows.shape[1]
-    rows = np.ascontiguousarray(rows, np.min_scalar_type(max(n - 1, 0)).newbyteorder(">"))
-    return rows.view(np.dtype((np.void, n * rows.itemsize))).ravel()
+    return np.ascontiguousarray(rows, np.min_scalar_type(max(n - 1, 0)).newbyteorder(">"))
+
+
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """The bytes of each row of a contiguous array, one ``void`` entry per row."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One exact key per row, ordered as the rows are lexicographically.
+
+    The key is the row's bytes in :func:`_big_endian` form.  A row of at
+    most 8 bytes (every degree n <= 8) reads as one ``uint64``, its bytes
+    right-aligned so that the integers compare as the rows do; a longer
+    row stays a byte string.
+    """
+    rows = _big_endian(rows)
+    if rows.shape[1] * rows.itemsize > 8:
+        return _row_bytes(rows)
+    padded = np.zeros((len(rows), 8), np.uint8)
+    padded[:, 8 - rows.shape[1]:] = rows
+    return padded.view(">u8").ravel().astype(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +138,9 @@ class TransSemigroup:
     ``images`` is the representation: a read-only m x n integer array
     whose row i is the image tuple of element i, rows in lexicographic
     order, so two runs on the same generators produce identical objects.
-    ``elements`` builds the :class:`Transformation` objects on first use.
+    ``keys`` holds each row's :func:`_keys` entry, in the same order, so
+    ``np.searchsorted`` on it finds a row.  ``elements`` builds the
+    :class:`Transformation` objects on first use.
 
     ``right[i, k]`` is the index of ``elements[i] o g_k`` and ``left[i, k]``
     the index of ``g_k o elements[i]``, where ``g_k`` is the element at
@@ -182,29 +199,34 @@ class TransSemigroup:
 
 def _semigroup(rows: np.ndarray, gen_rows: np.ndarray) -> TransSemigroup:
     """The semigroup on the distinct ``rows``, in key order, that ``gen_rows`` generate."""
-    keys, first = np.unique(_keys(rows), return_index=True)
-    images = rows[first].astype(np.int32)
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    images = rows[order[fresh]].astype(np.int32)
     images.setflags(write=False)
-    generator_indices = tuple(np.unique(np.searchsorted(keys, _keys(gen_rows))).tolist())
+    generator_indices = tuple(sorted(set(np.searchsorted(keys[fresh], _keys(gen_rows)).tolist())))
     return TransSemigroup(images, generator_indices)
 
 
 def _search(gen_rows: np.ndarray, cap: int) -> np.ndarray:
     """Every row reached from ``gen_rows`` by right generator steps, once each.
 
-    One set holds the key (:func:`_keys`) of every row found; each level
-    reads its unseen keys back as rows, in the set's order.
+    One set holds the bytes of every row found, in :func:`_big_endian`
+    form (a ``bytes`` object caches its hash).  Each level keeps its
+    unseen rows in the order they were first found, so no level depends
+    on the set's order.
     """
     n = gen_rows.shape[1]
     seen: set[bytes] = set()
-    rows, levels = gen_rows, []
+    add = seen.add
+    rows, levels = _big_endian(gen_rows), []
     while len(rows):
-        keys = _keys(rows)
-        new = set(keys.tolist()) - seen
-        seen |= new
+        new = [k for k in _row_bytes(rows).tolist() if k not in seen and not add(k)]
         if len(seen) > cap:
             raise SizeCapError(f"semigroup closure exceeds element cap {cap}")
-        levels.append(np.frombuffer(b"".join(new), f">u{keys.itemsize // n}").reshape(-1, n))
+        levels.append(np.frombuffer(b"".join(new), rows.dtype).reshape(-1, n))
         rows = levels[-1][:, gen_rows].reshape(-1, n)
     return np.concatenate(levels)
 
@@ -217,9 +239,10 @@ def generate_closure(
     A breadth-first search over right translates, which reach the whole
     closure since every product of generators is a chain of them:
     ``F[:, g]`` composes a whole frontier ``F`` with a generator ``g``.
-    The search (:func:`_search`) keeps one set of the exact keys found so
-    far, as Froidure & Pin (1997) keep one table of the elements.  The
-    generator graphs are not built here: each is built on its first read.
+    The search (:func:`_search`) keeps one set of the bytes of every row
+    found so far, as Froidure & Pin (1997) keep one table of the elements.
+    The generator graphs are not built here: each is built on its first
+    read.
 
     Raises :class:`SizeCapError` exactly when the closure has more
     elements than the cap (``ERGOSCOPE_MAX_ELEMENTS`` overrides the
@@ -318,7 +341,7 @@ def _image_morphism(sg: TransSemigroup, images: np.ndarray) -> SemigroupMorphism
         if not np.array_equal(images[sg.right[:, k]], images[:, images[g]]):
             raise AssertionError("induced map failed multiplicativity check")
     target = _semigroup(images, images[list(sg.generator_indices)])
-    element_map = tuple(np.searchsorted(_keys(target.images), _keys(images)).tolist())
+    element_map = tuple(np.searchsorted(target.keys, _keys(images)).tolist())
     return SemigroupMorphism(target, element_map, sg.size * len(sg.generator_indices))
 
 

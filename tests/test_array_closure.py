@@ -332,3 +332,37 @@ def test_classify_builds_no_elements_of_a_large_closure(monkeypatch):
         assert [sg.size for sg in closures] == [size]
         assert "elements" not in closures[0].__dict__
         assert len(built) < 1000
+
+
+@pytest.mark.parametrize("n", [8, 9, 257])
+def test_closure_and_targets_match_tuple_closure_at_the_key_width_boundary(n):
+    # A swap of states 0 and 1 times a 3-cycle on the last three states,
+    # and two idempotents: 552 elements that differ in the first and last
+    # entries of their rows and fix every state in between.  Keys are one
+    # uint64 up to n = 8, byte strings from n = 9 and two bytes an entry
+    # from n = 257.
+    gens = [tuple([1, 0, *range(2, n - 3), n - 2, n - 1, n - 3]),
+            fix_all_but(n, n - 1, n - 2), fix_all_but(n, 0, n - 1)]
+    ref = ref_closure(gens, MAX_ELEMENTS)
+    assert len(ref[0]) == 552
+    assert_matches_reference(gens, ref)
+    sg = generate_closure([Transformation(g) for g in gens])
+    width = n if n <= 256 else 2 * n
+    assert sg.keys.dtype == (np.uint64 if n <= 8 else np.dtype((np.void, width)))
+    # Misses before the first row, between rows and past the last one.
+    for t in ((0,) * n, tuple(reversed(range(n))), (n - 1,) * n):
+        assert t not in ref[0]
+        with pytest.raises(KeyError):
+            sg.index_of(Transformation(t))
+    # Targets of degree 3 to n - 1; their images repeat rows, down to one
+    # distinct row when states 0 and 1 are merged.
+    for subset in (set(range(n)) - {2}, invariant_closure(gens, n - 1),
+                   invariant_closure(gens, 0)):
+        images = ref_restriction(ref[0], ref[1], subset)
+        assert_same_morphism(restriction_epimorphism(sg, subset), ref, images)
+    sys_ = FiniteSystem(tuple(str(x) for x in range(n)),
+                        tuple((f"g{i}", Transformation(g)) for i, g in enumerate(gens)))
+    for pair in ((0, 1), (2, 3), (n - 1, n - 2)):
+        phi = congruence_closure(sys_, [pair])
+        images = ref_factor(ref[0], phi)
+        assert_same_morphism(factor_epimorphism(sg, phi), ref, images)
