@@ -40,7 +40,7 @@ from .operators import (
     invariant_measures,
     pushforward_integers,
 )
-from .systems import FiniteSystem, invariant_supports, minimal_sets, transitivity
+from .systems import FiniteSystem, invariant_supports, minimal_sets, orbit, transitivity
 from .transforms import (
     SizeCapError,
     Transformation,
@@ -245,23 +245,30 @@ def _zero_support_labels(sys: FiniteSystem) -> str | tuple[int, ...]:
     set M is invariant and supported in M, so every minimal set must carry
     an invariant measure; and since Q A_w = Q forces equal columns along
     orbits, no orbit closure may contain two measure-carrying minimal sets.
-    Either failure proves the zero absent.  Otherwise {x} u Sx holds one,
-    M(x), found by its least state, and the zero is uniform on M(x) in
-    column x: a kernel idempotent e fixes each M and sends x into M(x), and
-    the average over the group eSe, transitive on each M, is that zero.
+    Either failure proves the zero absent.  Minimal sets are sink components,
+    so one pass over the components, each after those it reaches, finds the
+    one M(x) in {x} u Sx or "many".  The zero is uniform on M(x) in column x:
+    a kernel idempotent e fixes each M and sends x into M(x), and the
+    average over the group eSe, transitive on each M, is that zero.
     """
     supports = invariant_supports(sys)
     for m in minimal_sets(sys):
         if m not in supports:
             return f"minimal set {sorted(m)} carries no invariant measure"
-    least = [min(s) for s in supports]
-    labels = []
-    for x, reach in enumerate(sys.reach):
-        inside = [i for i, y in enumerate(least) if y == x or y in reach]
-        if len(inside) >= 2:
-            return (f"orbit closure of state {x} contains "
-                    f"{len(inside)} minimal sets with invariant measures")
-        labels.extend(inside)
+    index = {min(s): i for i, s in enumerate(supports)}
+    labels: list = [None] * sys.n
+    for c in sys.components:
+        label = index.get(min(c))
+        for y in (labels[g(x)] for x in c for g in sys.generator_maps):
+            if y is not None and y != label:
+                label = y if label is None else "many"
+        for x in c:
+            labels[x] = label
+    if "many" in labels:
+        x = labels.index("many")
+        states = orbit(sys, x).states
+        return (f"orbit closure of state {x} contains "
+                f"{sum(min(s) in states for s in supports)} minimal sets with invariant measures")
     return tuple(labels)
 
 

@@ -292,8 +292,6 @@ def invariant_measures(sys: FiniteSystem) -> tuple[Measure, ...]:
     measures on the minimal sets that every generator permutes.
     """
     extremes = tuple(Measure.uniform_on(sys.n, m) for m in invariant_supports(sys))
-    for mu in extremes:
-        assert all(sorted(map(g, mu.support)) == sorted(mu.support) for g in sys.generator_maps)
     if sys.commuting:
         # Commuting maps always share a fixed probability vector.
         assert extremes, "commuting system lost its invariant measure"

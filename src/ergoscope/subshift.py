@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 
-from .systems import FiniteSystem
+from .systems import FiniteSystem, strong_components
 from .transforms import Transformation, check_int
 
 MAX_PREFIX_LENGTH = 10**8
@@ -217,23 +217,11 @@ def fixed_windows(ws: WindowSystem) -> list[Window]:
 
 
 def _unique_successor_cycles(ws: WindowSystem) -> list[frozenset[Window]]:
-    """Orbits returning to their start along uniquely determined edges.
-
-    Each window is walked once: a walk stops at a window an earlier walk
-    has passed, and closes a cycle only when it meets its own path.
-    """
-    cycles = []
-    done: set[Window] = set()
-    for start in ws.windows:
-        path: dict[Window, int] = {}
-        current = start
-        while current in ws.shift_edges and current not in done:
-            done.add(current)
-            path[current] = len(path)
-            current = ws.shift_edges[current]
-        if current in path:
-            cycles.append(frozenset(list(path)[path[current]:]))
-    return sorted(cycles, key=sorted)
+    """The components of the shift edges that hold a cycle: out of each window
+    goes one edge at most, so a component holds one iff its edges stay in it."""
+    edges = ws.shift_edges
+    found = strong_components(ws.windows, lambda w: [edges[w]] if w in edges else [])
+    return sorted((frozenset(c) for c in found if edges.get(c[0]) in c), key=sorted)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,37 @@ from functools import cached_property
 from .transforms import Transformation, check_int
 
 
+def strong_components(nodes, successors) -> list[list]:
+    """The strongly connected components of the graph v -> ``successors(v)``,
+    each listed after every component it reaches: Tarjan's search on its own
+    stack, a low link being a stack position, infinite once listed."""
+    low, stack, found, listed = {}, [], [], float("inf")
+    for root in (v for v in nodes if v not in low):
+        low[root] = 0  # each root's search empties the stack
+        stack.append(root)
+        work = [(root, 0, iter(successors(root)))]
+        while work:
+            v, at, edges = work[-1]
+            for w in edges:
+                if w not in low:
+                    low[w] = len(stack)
+                    work.append((w, len(stack), iter(successors(w))))
+                    stack.append(w)
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == at:
+                    found.append(stack[at:])
+                    del stack[at:]
+                    for w in found[-1]:
+                        low[w] = listed
+                elif low[v] < low[work[-1][0]]:  # below its own position: v has a parent
+                    low[work[-1][0]] = low[v]
+    return found
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """A finite state set acted on by named generating self-maps."""
@@ -63,31 +94,24 @@ class FiniteSystem:
         )
 
     @cached_property
-    def reach(self) -> tuple[frozenset[int], ...]:
-        """Sx for every state x: the states some nonempty generator word
-        sends x to, found once per system by one search from each state."""
-        maps = self.generator_maps
-        found = []
-        for x in range(self.n):
-            seen, frontier = set(), {x}
-            while frontier:
-                frontier = {g(y) for y in frontier for g in maps} - seen
-                seen |= frontier
-            found.append(frozenset(seen))
-        return tuple(found)
+    def components(self) -> list[list[int]]:
+        """The strong components of the state graph x -> g(x), as listed by
+        ``strong_components``."""
+        images = [g.images for g in self.generator_maps]
+        return strong_components(range(self.n), lambda x: [im[x] for im in images])
 
     @cached_property
     def minimal_sets(self) -> tuple[frozenset[int], ...]:
         """All minimal nonempty invariant subsets, sorted by least element.
 
-        Sx is minimal iff x lies in Sy for every y in Sx: then Sy = Sx for
-        each of its points, x among them.  Each minimal set is read once,
-        off its least state x, where also x <= min(Sx); one pass over
-        ``reach`` yields them in least-state order.
+        These are the sink components, the ones every generator maps into
+        themselves: Sx = C for each state x of a sink component C, so no
+        smaller invariant set fits in C; and a minimal set M is Sx for each
+        of its states x, so M is strongly connected and no edge leaves it.
         """
-        reach = self.reach
-        return tuple(r for x, r in enumerate(reach)
-                     if x <= min(r) and all(x in reach[y] for y in r))
+        maps = self.generator_maps
+        return tuple(sorted((c for c in map(frozenset, self.components)
+                             if all(g(x) in c for x in c for g in maps)), key=min))
 
     @cached_property
     def invariant_supports(self) -> tuple[frozenset[int], ...]:
@@ -123,10 +147,18 @@ class Orbit:
 
 
 def orbit(sys: FiniteSystem, x: int) -> Orbit:
+    """{x} u Sx, by one breadth-first search from x."""
+    _check_state(sys, x)
+    seen, frontier = set(), {x}
+    while frontier := {g(y) for y in frontier for g in sys.generator_maps} - seen:
+        seen |= frontier
+    return Orbit(x, frozenset(seen | {x}), frozenset(seen))
+
+
+def _check_state(sys: FiniteSystem, x) -> None:
     check_int(x, "state", float("-inf"))
     if not (0 <= x < sys.n):
         raise ValueError(f"state {x} out of range")
-    return Orbit(x, sys.reach[x] | {x}, sys.reach[x])
 
 
 def minimal_sets(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
@@ -148,10 +180,14 @@ class TransitivityReport:
 
 
 def transitivity(sys: FiniteSystem) -> TransitivityReport:
-    everything = frozenset(range(sys.n))
-    witness = next((x for x, r in enumerate(sys.reach) if r | {x} == everything), None)
-    strict = next((x for x, r in enumerate(sys.reach) if r == everything), None)
-    return TransitivityReport(witness, strict)
+    """Read off the last component, which no other enters: it reaches every
+    state iff every other is entered, and itself iff it holds a cycle."""
+    maps, comps = sys.generator_maps, list(map(set, sys.components))
+    entered = {y for c in comps for x in c for g in maps if (y := g(x)) not in c}
+    if any(entered.isdisjoint(c) for c in comps[:-1]):
+        return TransitivityReport(None, None)
+    x = min(comps[-1])
+    return TransitivityReport(x, x if any(g(x) in comps[-1] for g in maps) else None)
 
 
 def is_transitive(sys: FiniteSystem) -> int | None:
@@ -206,6 +242,8 @@ def congruence_closure(sys: FiniteSystem, pairs) -> tuple[int, ...]:
         return True
 
     work = [tuple(p) for p in pairs]
+    for x in (x for p in work for x in p):
+        _check_state(sys, x)
     while work:
         x, y = work.pop()
         if union(x, y):

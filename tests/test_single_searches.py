@@ -1,10 +1,11 @@
 """Each search runs once, and the fixed spaces are read off the state graph.
 
-``FiniteSystem.reach`` holds Sx for every state x, and ``orbit``,
-``minimal_sets``, ``transitivity`` and the minimal-set refutation read
-it; ``FiniteSystem.minimal_sets`` holds the minimal sets, found once
-per system.  The references below are the earlier definitions, which searched
-the state graph again from each state on every call.
+``FiniteSystem.components`` holds the strong components of the state
+graph, found once per system, and ``minimal_sets``, ``transitivity`` and
+the minimal-set refutation read them; ``orbit`` runs one search from its
+state, and ``FiniteSystem.minimal_sets`` holds the minimal sets, found
+once per system.  The references below are the earlier definitions, which
+searched the state graph again from each state on every call.
 ``decomposition_check`` reads the fixed functions off the components of
 the generator graph and the fixed measures off the supports of the
 invariant measures, with no Koopman matrix and no elimination; its
@@ -167,7 +168,6 @@ def ref_zero_refuted_by_minimal_sets(sys_):
 @example(system_of((0, 1, 0), (0, 1, 1)))
 def test_reach_serves_the_per_call_searches(sys_):
     assert [orbit(sys_, x) for x in range(sys_.n)] == [ref_orbit(sys_, x) for x in range(sys_.n)]
-    assert sys_.reach == tuple(ref_orbit(sys_, x).semigroup_orbit for x in range(sys_.n))
     assert minimal_sets(sys_) == ref_minimal_sets(sys_)
     assert transitivity(sys_) == ref_transitivity(sys_)
     assert {mu.support for mu in invariant_measures(sys_)} == ref_supports(sys_)
@@ -280,21 +280,22 @@ def test_classify_builds_no_koopman_matrix(monkeypatch, sys_):
 
 
 def test_classify_searches_the_state_graph_once(monkeypatch):
-    descriptor = FiniteSystem.__dict__["reach"]
+    descriptor = FiniteSystem.__dict__["components"]
     assert isinstance(descriptor, cached_property)
-    reach = descriptor.func
+    components = descriptor.func
     searches, orbits = [], []
 
-    def counted_reach(sys_):
+    def counted_components(sys_):
         searches.append(sys_.n)
-        return reach(sys_)
+        return components(sys_)
 
     def counted_orbit(sys_, x):
         orbits.append(x)
         return orbit(sys_, x)
 
-    monkeypatch.setattr(descriptor, "func", counted_reach)
+    monkeypatch.setattr(descriptor, "func", counted_components)
     monkeypatch.setattr(systems, "orbit", counted_orbit)
+    monkeypatch.setattr(envelope, "orbit", counted_orbit)
     for args in ((5, 3, 9), (4, 2, 1)):
         searches.clear()
         sys_ = random_system(*args[:2], seed=args[2])
