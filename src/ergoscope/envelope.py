@@ -122,7 +122,7 @@ def power_periodicity(t: Transformation) -> tuple[int, int, list[Transformation]
     """(preperiod, period, [t^0, t^1, ...] up to the first repeat)."""
     images, period = first_repeat(tuple(range(t.degree)),
                                   lambda p: tuple(t.images[y] for y in p))
-    return len(images) - period, period, [Transformation(p) for p in images]
+    return len(images) - period, period, [Transformation.trusted(p) for p in images]
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def _certify(weights: dict, sys: FiniteSystem, labels: tuple[int, ...]) -> ZeroC
     the witness's integer columns over d, each summing to d, matching Q's;
     raises AssertionError naming the first generator Q does not absorb, or the witness."""
     assert sum(weights.values()) == 1 and min(weights.values()) >= 0, "weights not convex"
-    witness = tuple((Transformation(images), w) for images, w in sorted(weights.items()))
+    witness = tuple((Transformation.trusted(images), w) for images, w in sorted(weights.items()))
     cert = ZeroCertificate(labels, invariant_supports(sys), witness, (
         *(f"A[{name}] Q = Q A[{name}] = Q" for name, _ in sys.generators),
         "Q is a convex combination of semigroup pushforwards"))
@@ -230,8 +230,8 @@ def _zero_by_feasibility(sys: FiniteSystem, sg: TransSemigroup) -> dict | None:
     moved = np.stack([gens[:, own].transpose(1, 0, 2), own[:, gens]])
     block = (moved[..., None, :] == states).astype(np.int8) - (own[:, None, :] == states)[:, None]
     rows = list(map(tuple, block.transpose(2, 3, 4, 0, 1).reshape(-1, len(ker)).tolist()))
-    rows.append((Fraction(1),) * len(ker))
-    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
+    rows.append((1,) * len(ker))
+    rhs = [0] * (len(rows) - 1) + [1]
     solution = rational.lp_feasible_point(rows, rhs)
     if solution is None:
         return None

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on plain sequences of :class:`fractions.Fraction`
-(rows of matrices, vectors).  No floating point enters any computation;
-callers convert to float only for display.
+Matrices and vectors come in as plain sequences of
+:class:`fractions.Fraction` or int entries.  The products work on
+``Fraction`` entries; the one elimination, ``rref``, and the phase-1
+simplex work on integer rows, each a positive multiple of the rational
+row it stands for, and divide only where they build a ``Fraction``
+result.  No floating point enters any computation; callers convert to
+float only for display.
 """
 
 from __future__ import annotations
@@ -50,25 +54,45 @@ def integer_form(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    m = [list(row) for row in rows]
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries (a zero row stays as it is)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form on integer rows; returns (rows, pivot columns).
+
+    Each row is read as integers over its least common denominator and
+    kept primitive, and row r's pivot is positive, so the reduced rational
+    row r is ``rows[r]`` divided by ``rows[r][pivots[r]]``.  The
+    elimination is fraction-free: ``row_i <- p row_i - f row_r`` for the
+    pivot p and f = row_i's entry in the pivot column, then the gcd
+    division.  Every row is a nonzero multiple of the rational one, so the
+    zero entries, and with them the pivot columns, are those of the
+    rational elimination.
+    """
+    m = []
+    for row in rows:
+        d = math.lcm(*[x.denominator for x in row])
+        m.append(_primitive([x.numerator * (d // x.denominator) for x in row]))
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        row, p = m[r], m[r][c]
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _primitive([p * x - f * y for x, y in zip(m[i], row)])
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -92,8 +116,8 @@ def nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> tuple[Row, ...
     for fc in free:
         v = [ZERO] * n_cols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -109,61 +133,68 @@ def lp_feasible_point(
     repeated rows of [A | b] before the elimination, the rest by it.  The
     reduced echelon form depends only on the row space, so the tableau
     and the point returned do not depend on row order or repeats.
+
+    Every tableau row, the cost row too, is a primitive integer row, a
+    positive multiple of the rational row it stands for; a pivot on entry
+    P > 0 is ``row_i <- P row_i - f row_leave``.  That keeps every sign and
+    every ratio rhs_i / entry_i that Bland's rule reads, so the pivots and
+    the vertex, x[bv] = rhs_i / row_i[bv], are the rational tableau's.
     """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     if not rows:
         return ()
     n = len(rows[0])
+    if set(map(len, rows)) != {n}:
+        raise ValueError(f"ragged rows: need {n} entries in every row")
     distinct = dict.fromkeys((*row, bi) for row, bi in zip(rows, rhs))
-    reduced, pivots = rref([list(map(Fraction, row)) for row in distinct if any(row)])
+    reduced, pivots = rref([row for row in distinct if any(row)])
     if n in pivots:
         return None
-    rows2 = [r for r in reduced if any(x != 0 for x in r)]
-    a = [r[:n] for r in rows2]
-    b = [r[n] for r in rows2]
-    for i in range(len(a)):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    m = len(a)
+    m = len(pivots)
     if m == 0:
         return tuple([ZERO] * n)
-    # Tableau columns: n structural + m artificial + rhs.
-    tab = [a[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
+    # Tableau columns: n structural + m artificial + rhs.  Reduced row i is
+    # its pivot p times the rational row, so its artificial entry is p; a
+    # negative b flips the row.
+    scales = [row[pc] for row, pc in zip(reduced, pivots)]
+    tab = []
+    for i, row in enumerate(reduced[:m]):
+        s = -1 if row[n] < 0 else 1
+        tab.append([s * x for x in row[:n]] + [0] * m + [s * row[n]])
+        tab[i][n + i] = scales[i]
     basis = [n + i for i in range(m)]
     # Reduced costs for minimizing the sum of artificials: 0 on the basic
-    # artificials, minus the column sums elsewhere, -sum b at the right.
-    cost = [ZERO] * n + [ONE] * m + [ZERO]
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= tab[i][j]
+    # artificials, minus the column sums elsewhere, -sum b at the right;
+    # here times the lcm of the scales.
+    lcm = math.lcm(*scales)
+    cost = [-sum(lcm // p * row[j] for p, row in zip(scales, tab)) for j in range(n + m + 1)]
+    cost[n:n + m] = [0] * m
+    cost = _primitive(cost)
     while True:
         enter = next(
             (j for j in range(n + m) if cost[j] < 0 and j not in basis), None
         )
         if enter is None:
             break
-        ratios = [
-            (tab[i][n + m] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
+        ratios = [(Fraction(row[-1], row[enter]), basis[i], i)
+                  for i, row in enumerate(tab) if row[enter] > 0]
         if not ratios:
             break
         _, _, leave = min(ratios)  # Bland: smallest ratio, then smallest basis index
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        piv = tab[leave]
+        p = piv[enter]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if f and i != leave:
+                tab[i] = _primitive([p * x - f * y for x, y in zip(row, piv)])
+        if f := cost[enter]:
+            cost = _primitive([p * x - f * y for x, y in zip(cost, piv)])
         basis[leave] = enter
-    if -cost[n + m] != 0:
+    if cost[n + m] != 0:
         return None
     x = [ZERO] * n
-    for i, bv in enumerate(basis):
+    for row, bv in zip(tab, basis):
         if bv < n:
-            x[bv] = tab[i][n + m]
+            x[bv] = Fraction(row[n + m], row[bv])
     return tuple(x)

@@ -67,6 +67,14 @@ class Transformation:
             object.__setattr__(self, "images", tuple(map(int, self.images)))
 
     @classmethod
+    def trusted(cls, images: tuple[int, ...]) -> "Transformation":
+        """The map with these images, a tuple of Python ints in range(len(images))
+        that the caller has already checked, built without ``__post_init__``."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "images", images)
+        return t
+
+    @classmethod
     def identity(cls, n: int) -> "Transformation":
         return cls(tuple(range(n)))
 

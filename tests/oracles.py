@@ -1,7 +1,9 @@
 """Reference implementations shared by the tests; no library code calls them.
 
-``solve`` is exact.  The subshift references are the earlier run-by-run
-``from_bits`` and ``prefix``, and the earlier window system that stored its
+``solve`` is exact.  ``rref`` and ``lp_feasible_point`` are the earlier
+elimination and phase-1 simplex, which divided ``Fraction`` rows by each
+pivot instead of keeping them as integer multiples.  The subshift
+references are the earlier run-by-run ``from_bits`` and ``prefix``, and the earlier window system that stored its
 windows and shift edges beside the successor sets, with the
 ``windows_system`` that read them.  The cosgrid references are the earlier floating-point
 routines, kept verbatim so that the faster ones can be required to give
@@ -33,7 +35,7 @@ from ergoscope import rational
 from ergoscope.cosgrid import GridLimitReport, GridModel, iterate_adjoint, pi_projection
 from ergoscope.nets import AbelMean, _power_bound, matrix_powers
 from ergoscope.operators import OperatorMatrix
-from ergoscope.rational import ZERO, rref
+from ergoscope.rational import ONE, ZERO, Row
 from ergoscope.subshift import BinaryWord, Window
 from ergoscope.systems import FiniteSystem
 from ergoscope.transforms import Transformation, TransSemigroup, _keys
@@ -209,12 +211,109 @@ def solve(rows, rhs):
         return ()
     n_cols = len(rows[0])
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = rational.rref(aug)
     if n_cols in pivots:
         return None
     x = [ZERO] * n_cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][n_cols]
+    for row, pc in zip(reduced, pivots):
+        x[pc] = Fraction(row[n_cols], row[pc])
+    return tuple(x)
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+    m = [list(row) for row in rows]
+    if not m:
+        return [], []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def lp_feasible_point(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> Row | None:
+    """Exact phase-1 simplex: some x >= 0 with A x = b, or None.
+
+    Dense tableau with Bland's rule, so it terminates on every input.
+    Intended for small systems (dozens of rows/columns).  Redundant rows
+    go first, so that every artificial can leave the basis: zero and
+    repeated rows of [A | b] before the elimination, the rest by it.  The
+    reduced echelon form depends only on the row space, so the tableau
+    and the point returned do not depend on row order or repeats.
+    """
+    if not rows:
+        return ()
+    n = len(rows[0])
+    distinct = dict.fromkeys((*row, bi) for row, bi in zip(rows, rhs))
+    reduced, pivots = rref([list(map(Fraction, row)) for row in distinct if any(row)])
+    if n in pivots:
+        return None
+    rows2 = [r for r in reduced if any(x != 0 for x in r)]
+    a = [r[:n] for r in rows2]
+    b = [r[n] for r in rows2]
+    for i in range(len(a)):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    m = len(a)
+    if m == 0:
+        return tuple([ZERO] * n)
+    # Tableau columns: n structural + m artificial + rhs.
+    tab = [a[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # Reduced costs for minimizing the sum of artificials: 0 on the basic
+    # artificials, minus the column sums elsewhere, -sum b at the right.
+    cost = [ZERO] * n + [ONE] * m + [ZERO]
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= tab[i][j]
+    while True:
+        enter = next(
+            (j for j in range(n + m) if cost[j] < 0 and j not in basis), None
+        )
+        if enter is None:
+            break
+        ratios = [
+            (tab[i][n + m] / tab[i][enter], basis[i], i)
+            for i in range(m)
+            if tab[i][enter] > 0
+        ]
+        if not ratios:
+            break
+        _, _, leave = min(ratios)  # Bland: smallest ratio, then smallest basis index
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    if -cost[n + m] != 0:
+        return None
+    x = [ZERO] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[i][n + m]
     return tuple(x)
 
 

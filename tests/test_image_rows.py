@@ -3,7 +3,8 @@
 ``koehler`` builds only the pushforwards its bridge check compares, and
 ``MatrixSemigroup.elements`` builds the rest on first read; the CLI's
 ``ellis`` and ``kernel`` commands print label maps straight from the
-closure's image rows.
+closure's image rows.  ``classify`` builds the powers and witness maps of
+a zero without checking their images again.
 """
 
 import json
@@ -86,3 +87,18 @@ def test_ellis_command_reads_image_rows(tmp_path, monkeypatch, capsys):
     assert doc["elements"] == [
         {sys_.states[x]: sys_.states[t(x)] for x in range(sys_.n)} for t in sg.elements
     ]
+
+
+def test_classify_checks_no_power_or_witness_map_again(monkeypatch):
+    """The powers of ``power_periodicity`` and the witness maps of ``_certify``
+    compose maps already checked, so ``classify`` of an n-cycle checks no
+    more maps for n = 200 than for n = 20."""
+    calls = count_calls(monkeypatch, Transformation, "__post_init__")
+    counts = []
+    for n in (20, 200):
+        sys_ = cyclic_shift_system(n)
+        calls.clear()
+        report = envelope.classify(sys_)
+        counts.append(len(calls))
+        assert len(report.zero.certificate.witness) == n
+    assert counts[0] == counts[1]
