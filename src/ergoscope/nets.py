@@ -158,8 +158,7 @@ def folner_net(generators, ns, label: str = "folner") -> NetSample:
                     merged[acc @ p] += c * k
             counts = merged
         w = Fraction(1, n ** len(generators))
-        combo = tuple(sorted(((m, c * w) for m, c in counts.items()),
-                             key=lambda kv: kv[0].rows))
+        combo = tuple((m, c * w) for m, c in counts.items())
         steps.append(NetStep(f"{label} N={n}", convex_combination(combo), combo))
     return NetSample(tuple(steps))
 

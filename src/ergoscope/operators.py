@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import add
 
 from . import rational
 from .rational import ONE, ZERO, Row
 from .systems import FiniteSystem, congruence_closure, invariant_supports
-from .transforms import Transformation
+from .transforms import Transformation, check_int
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,10 @@ class OperatorMatrix:
     """An exact rational square matrix.
 
     A pushforward A_t knows its map t (``images``) however it was built,
-    so a product with it moves entries instead of multiplying them, and a
+    so a product of two pushforwards composes their maps, and a
     pushforward hashes its image tuple.  ``integer_rows`` is the one
-    integer form of the entries, over one common denominator.  Products
-    of ``Fraction`` matrices hold ``Fraction`` entries on every path.
+    integer form of the entries, over one common denominator.  Every
+    product holds ``Fraction`` entries.
     """
 
     rows: tuple[Row, ...]
@@ -111,23 +110,11 @@ class OperatorMatrix:
         return OperatorMatrix(tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Exact product.  M A_t gathers columns: column x is column t(x) of
-        M, so A_s A_t = A_(s o t) with no arithmetic.  A_t M sums rows: row y
-        is the sum of the rows z of M with t(z) = y, zero if there is none.
-        Any other product is ``rational.mat_mul``."""
+        """Exact product: A_s A_t = A_(s o t) composes the maps, and any
+        other product is ``rational.mat_mul``."""
         self._check_size(other.n)
-        if other.images is not None:
-            t = other.images
-            if self.images is not None:
-                return OperatorMatrix.of_map(tuple(self.images[y] for y in t))
-            return OperatorMatrix(tuple(tuple(row[y] for y in t) for row in self.rows))
-        if self.images is not None:
-            sums = [None] * self.n
-            for z, y in enumerate(self.images):
-                row = other.rows[z]
-                sums[y] = row if sums[y] is None else tuple(map(add, sums[y], row))
-            zero = (ZERO,) * self.n
-            return OperatorMatrix(tuple(zero if row is None else row for row in sums))
+        if self.images is not None and other.images is not None:
+            return OperatorMatrix.of_map(tuple(self.images[y] for y in other.images))
         return OperatorMatrix(rational.mat_mul(self.rows, other.rows))
 
     def _check_size(self, n: int) -> None:
@@ -150,15 +137,10 @@ class OperatorMatrix:
         return rational.mat_vec(self.rows, vector)
 
     def max_entry_distance(self, other: "OperatorMatrix") -> Fraction:
-        """max |a - b| over the entries, exactly: both ``integer_rows`` over
-        the lcm d of their denominators, and one ``Fraction`` of the largest
-        integer difference over d."""
+        """max |a - b| over the entries, exactly; 0 for empty matrices."""
         self._check_size(other.n)
-        (da, a), (db, b) = self.integer_rows, other.integer_rows
-        d = math.lcm(da, db)
-        fa, fb = d // da, d // db
-        return Fraction(max((abs(x * fa - y * fb) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
-                            default=0), d)
+        return Fraction(max((abs(x - y) for ra, rb in zip(self.rows, other.rows)
+                             for x, y in zip(ra, rb)), default=0))
 
 
 def convex_combination(weighted) -> OperatorMatrix:
@@ -189,6 +171,9 @@ class Measure:
 
     @classmethod
     def uniform_on(cls, n: int, support) -> "Measure":
+        support = list(support)
+        for x in support:
+            check_int(x, "state", float("-inf"))
         support = set(support)
         if not support:
             raise ValueError("empty support")

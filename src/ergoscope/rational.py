@@ -50,7 +50,7 @@ def mat_sub(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
 def integer_form(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(d, (d * x for x in xs)) for the least common denominator d of xs:
     the entries as integers over one denominator."""
-    d = math.lcm(*(x.denominator for x in xs))
+    d = math.lcm(*[x.denominator for x in xs])
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
@@ -60,17 +60,27 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def _pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Fraction-free elimination on the pivot p = rows[r][c] > 0: every other
+    row with an entry f != 0 in column c becomes ``p row_i - f row_r``
+    divided by the gcd of its entries.  Each row stays a positive multiple
+    of the rational row it stands for, so every zero entry, every sign and
+    every ratio of two entries of a row are those of the rational pivot."""
+    row, p = rows[r], rows[r][c]
+    for i, other in enumerate(rows):
+        f = other[c]
+        if f and i != r:
+            rows[i] = _primitive([p * x - f * y for x, y in zip(other, row)])
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form on integer rows; returns (rows, pivot columns).
 
     Each row is read as integers over its least common denominator and
-    kept primitive, and row r's pivot is positive, so the reduced rational
-    row r is ``rows[r]`` divided by ``rows[r][pivots[r]]``.  The
-    elimination is fraction-free: ``row_i <- p row_i - f row_r`` for the
-    pivot p and f = row_i's entry in the pivot column, then the gcd
-    division.  Every row is a nonzero multiple of the rational one, so the
-    zero entries, and with them the pivot columns, are those of the
-    rational elimination.
+    kept primitive, and row r's pivot is made positive before ``_pivot``
+    eliminates its column, so the reduced rational row r is ``rows[r]``
+    divided by ``rows[r][pivots[r]]``, and the zero entries, and with them
+    the pivot columns, are those of the rational elimination.
     """
     m = []
     for row in rows:
@@ -88,11 +98,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]
         m[r], m[pivot_row] = m[pivot_row], m[r]
         if m[r][c] < 0:
             m[r] = [-x for x in m[r]]
-        row, p = m[r], m[r][c]
-        for i in range(n_rows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = _primitive([p * x - f * y for x, y in zip(m[i], row)])
+        _pivot(m, r, c)
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -134,10 +140,9 @@ def lp_feasible_point(
     reduced echelon form depends only on the row space, so the tableau
     and the point returned do not depend on row order or repeats.
 
-    Every tableau row, the cost row too, is a primitive integer row, a
-    positive multiple of the rational row it stands for; a pivot on entry
-    P > 0 is ``row_i <- P row_i - f row_leave``.  That keeps every sign and
-    every ratio rhs_i / entry_i that Bland's rule reads, so the pivots and
+    Every tableau row is a primitive integer row, and the cost row is the
+    tableau's last, so one ``_pivot`` updates them all and keeps every sign
+    and every ratio rhs_i / entry_i that Bland's rule reads: the pivots and
     the vertex, x[bv] = rhs_i / row_i[bv], are the rational tableau's.
     """
     if len(rhs) != len(rows):
@@ -170,28 +175,21 @@ def lp_feasible_point(
     lcm = math.lcm(*scales)
     cost = [-sum(lcm // p * row[j] for p, row in zip(scales, tab)) for j in range(n + m + 1)]
     cost[n:n + m] = [0] * m
-    cost = _primitive(cost)
+    tab.append(_primitive(cost))
     while True:
+        cost = tab[-1]
         enter = next(
             (j for j in range(n + m) if cost[j] < 0 and j not in basis), None
         )
         if enter is None:
             break
-        ratios = [(Fraction(row[-1], row[enter]), basis[i], i)
-                  for i, row in enumerate(tab) if row[enter] > 0]
-        if not ratios:
-            break
-        _, _, leave = min(ratios)  # Bland: smallest ratio, then smallest basis index
-        piv = tab[leave]
-        p = piv[enter]
-        for i, row in enumerate(tab):
-            f = row[enter]
-            if f and i != leave:
-                tab[i] = _primitive([p * x - f * y for x, y in zip(row, piv)])
-        if f := cost[enter]:
-            cost = _primitive([p * x - f * y for x, y in zip(cost, piv)])
+        # Bland: smallest ratio, then smallest basis index.  Phase 1 is bounded
+        # below by 0, so a column of negative reduced cost has a positive entry.
+        _, _, leave = min((Fraction(row[-1], row[enter]), basis[i], i)
+                          for i, row in enumerate(tab[:m]) if row[enter] > 0)
+        _pivot(tab, leave, enter)
         basis[leave] = enter
-    if cost[n + m] != 0:
+    if tab[-1][n + m] != 0:
         return None
     x = [ZERO] * n
     for row, bv in zip(tab, basis):

@@ -1,11 +1,11 @@
-"""Differential tests: products, averages and distances of pushforwards run as maps.
+"""Differential tests: products and averages of pushforwards run as maps, and distances.
 
 ``OperatorMatrix.images`` reads the map t off a pushforward A_t, so ``@``
-composes, gathers columns or sums rows instead of multiplying entries,
-``convex_combination`` is ``pushforward``, one sum of integer weights over
-their common denominator, and ``max_entry_distance`` compares integers over
-one common denominator.  The references in ``oracles`` are the earlier
-``Fraction`` product, convex sum and distance.
+composes two pushforwards' maps instead of multiplying entries, and
+multiplies every other pair by ``rational.mat_mul``; ``convex_combination``
+is ``pushforward``, one sum of integer weights over their common
+denominator.  The references in ``oracles`` are the ``Fraction`` product,
+convex sum and distance.
 """
 
 from fractions import Fraction
@@ -116,6 +116,16 @@ def test_products_of_mismatched_sizes_name_both(a, b):
         OperatorMatrix.zeros(a) @ OperatorMatrix.from_rows([[F(1, 2)] * b] * b)
 
 
+@pytest.mark.parametrize("map_side", ["right", "left"])
+def test_products_of_int_entries_with_a_pushforward_hold_fractions(map_side):
+    m = OperatorMatrix(((1, 2, 0), (0, 1, 3), (4, 0, 1)))
+    a = adjoint_matrix(Transformation((1, 2, 2)))
+    left, right = (m, a) if map_side == "right" else (a, m)
+    product = left @ right
+    assert product == oracles.matmul(left, right)
+    assert_fractions(product)
+
+
 # Averages and distances.
 
 def as_matrix(op):
@@ -173,6 +183,16 @@ def test_max_entry_distance_matches_fraction_subtraction(ab):
     distance = a.max_entry_distance(b)
     assert distance == oracles.max_entry_distance(a, b) == b.max_entry_distance(a)
     assert type(distance) is Fraction
+
+
+@pytest.mark.parametrize("a, b, distance", [
+    (((1, 2), (0, 3)), ((1, 0), (0, 1)), 2),
+    (((1, 0), (0, 1)), ((1, 0), (0, 1)), 0),
+    ((), (), 0),
+])
+def test_max_entry_distance_of_int_entries_is_a_fraction(a, b, distance):
+    d = OperatorMatrix(a).max_entry_distance(OperatorMatrix(b))
+    assert d == distance and type(d) is Fraction
 
 
 # Counts.
