@@ -92,19 +92,24 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     collapse: a uniform mu on ``build_grid(2, 100)`` has 152 distinct pairs
     in 201 entries.
 
-    Blocks: each live entry owns one row of a buffer of ``STEP_BUFFER``
-    float64 entries (1 MiB), its start value in the first column and its
-    diagonal entry in the others, so one ``np.multiply.accumulate`` along
-    the rows steps every live entry through the block, rounding strictly
-    in step order; a row holds at least one step.  The pi entries take the
-    first rows, so after each block every step of theirs is compared with
-    mu through a view of the buffer.
+    Blocks: each live entry owns one column of a buffer of ``STEP_BUFFER``
+    float64 entries (1 MiB), its start value in the first row and its
+    diagonal entry in the others; a block holds at least one step.  One
+    ``np.multiply.reduce`` along the columns multiplies each row into a
+    running row of all live entries, in step order (a float multiply
+    reduction is a plain ordered loop, with no pairwise regrouping), so
+    every entry still takes x <- fl(x * d) one step at a time while one
+    vector multiply advances them all.  It stops one step short of the
+    block's end, which one more multiply by the diagonal gives.  The pi
+    entries take the first columns; an in-place ``np.multiply.accumulate``
+    steps them through the block, and every step is compared with mu on
+    the ``uint64`` view, so a NaN mass keeps its bits.
 
     Fixed points: an entry whose step leaves its bits unchanged (with
     d > 0: +-0, +-inf, NaN, a subnormal that x * d rounds back to x) keeps
     them at every later step.  After each block the off-pi entries whose
-    last step left their bits unchanged, compared on the ``uint64`` view
-    of the last two columns, leave the live set; the pi entries never leave.
+    last step left their bits unchanged, compared on the ``uint64`` view,
+    leave the live set; the pi entries never leave.
     """
     _check_measure(model, mu)
     check_int(n, "n", 0)
@@ -123,24 +128,26 @@ def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     out = values[first]
     pi = np.zeros(len(out), dtype=bool)
     pi[inverse[model.pi_indices]] = True
-    pi_rows = np.count_nonzero(pi)
+    pi_cols = np.count_nonzero(pi)
     live = np.argsort(~pi, kind="stable")
-    pi_mass = out[live[:pi_rows], None]
-    diagonal = model.diagonal[first[live], None]
+    pi_mass = out[live[:pi_cols]].view(np.uint64)
+    diagonal = model.diagonal[first[live]]
     start = out[live]
     buf = np.empty(max(2 * len(out), min(STEP_BUFFER, (n + 1) * len(out))))
     done = 0
     while done < n:
         steps = min(n - done, len(buf) // len(live) - 1)
-        block = buf[:len(live) * (steps + 1)].reshape(len(live), steps + 1)
-        block[:, 0] = start
-        block[:, 1:] = diagonal
-        np.multiply.accumulate(block, axis=1, out=block)
-        assert (block[:pi_rows] == pi_mass).all()
+        block = buf[:len(live) * (steps + 1)].reshape(steps + 1, len(live))
+        block[0] = start
+        block[1:] = diagonal
+        before = np.multiply.reduce(block[:-1], axis=0)
+        pi_steps = block[:, :pi_cols]
+        np.multiply.accumulate(pi_steps, axis=0, out=pi_steps)
+        assert (pi_steps.view(np.uint64) == pi_mass).all()
         done += steps
-        start = block[:, -1]
-        moved = start.view(np.uint64) != block[:, -2].view(np.uint64)
-        moved[:pi_rows] = True
+        start = before * diagonal
+        moved = start.view(np.uint64) != before.view(np.uint64)
+        moved[:pi_cols] = True
         if not moved.all():
             out[live] = start
             live, start, diagonal = live[moved], start[moved], diagonal[moved]

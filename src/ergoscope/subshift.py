@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 
+from .rational import integer_form
 from .systems import FiniteSystem, strong_components
 from .transforms import Transformation, check_int
 
@@ -303,6 +304,8 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
     """Exact averages (1/N) sum_{n<N} f(shift^n word) for each N.
 
     Needs max(N) + max(depth, 1) - 1 <= word length so every window is observed.
+    The values of f are read as integers over their least common
+    denominator, so each N sums integers and builds one ``Fraction``.
     """
     n_list = list(n_list)
     depth = f.depth
@@ -313,15 +316,17 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
         check_int(n, "N", 1)
     if max(n_list) + span - 1 > word.length:
         raise ValueError("word too short for the requested trace")
+    den, numerators = integer_form(f.values)
+    g = CylinderFunction(depth, numerators)
     crossing = {}
     for lo, symbols in _crossing_segments(word, depth, max(n_list)):
-        crossing.update((lo + p, f(symbols[p:p + depth]))
+        crossing.update((lo + p, g(symbols[p:p + depth]))
                         for p in range(len(symbols) - depth + 1))
-    f_const = {0: f((0,) * depth), 1: f((1,) * depth)}
+    f_const = {0: g((0,) * depth), 1: g((1,) * depth)}
     starts = word.starts
     by_n = {}
     for n in set(n_list):
-        total = sum((v for p, v in crossing.items() if p < n), Fraction(0))
+        total = sum(v for p, v in crossing.items() if p < n)
         # A window starting in [lo, hi - span] lies inside the run
         # [lo, hi), so it is no crossing position.
         for lo, hi, (bit, _) in zip(starts, starts[1:], word.runs):
@@ -330,7 +335,7 @@ def cesaro_trace(word: BinaryWord, f: CylinderFunction, n_list) -> list[Fraction
             count = min(hi - span, n - 1) - lo + 1
             if count > 0:
                 total += count * f_const[bit]
-        by_n[n] = total / n
+        by_n[n] = Fraction(total, den * n)
     return [by_n[n] for n in n_list]
 
 

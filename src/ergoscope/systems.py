@@ -31,7 +31,10 @@ def strong_components(nodes, successors) -> list[list]:
                     low[v] = low[w]
             else:
                 work.pop()
-                if low[v] == at:
+                if low[v] == at == len(stack) - 1:
+                    found.append([stack.pop()])
+                    low[v] = listed
+                elif low[v] == at:
                     found.append(stack[at:])
                     del stack[at:]
                     for w in found[-1]:

@@ -319,11 +319,11 @@ def lp_feasible_point(
 
 def iterate_stepwise(model: GridModel, mu: np.ndarray, n: int) -> np.ndarray:
     """n single steps, asserting bit-exact pi-mass invariance at each."""
-    pi_mass = mu[model.pi_indices].copy()
-    out = mu.astype(float).copy()
+    out = mu.astype(float)
+    pi_mass = out[model.pi_indices].view(np.uint64)
     for _ in range(n):
         np.multiply(out, model.diagonal, out=out)
-        assert np.array_equal(out[model.pi_indices], pi_mass)
+        assert np.array_equal(out[model.pi_indices].view(np.uint64), pi_mass)
     return out
 
 

@@ -257,22 +257,92 @@ def test_stepwise_keys_hold_the_value_and_the_diagonal_entry():
             assert out[1] != out[99]
 
 
+# Off-pi start values whose steps are fixed at once, never, or only
+# after a while: NaN, +-inf, +-0, subnormals and the normal numbers
+# around them.
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1060,
+                  -2.2e-310, 2.0**-1022, 1.0, -0.75, 1e300]
+
+
+GRIDS_UP_TO_40_POINTS = [(1, m) for m in range(1, 40)] + [(2, m) for m in range(1, 20)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(GRIDS_UP_TO_40_POINTS), st.booleans(), st.data())
+@example((1, 1), False, None)  # width 1: two pi entries of one value
+@example((1, 2), False, None)  # a NaN off pi
+@example((1, 39), True, None)
+def test_stepwise_matches_reference_across_live_widths(grid, negate, data):
+    # Every live width from 1 to 40: grids of at most 40 points and start
+    # values drawn from a small pool, so that some pairs repeat.
+    model = build_grid(*grid)
+    if negate:
+        model = negated_off_pi(model)
+    if data is None:
+        mu = np.full(len(model.points), 0.5)
+        mu[1:-1] = np.nan
+    else:
+        pool = data.draw(st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(-2.0, 2.0),
+                                  min_size=1, max_size=len(model.points)))
+        mu = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=len(model.points),
+                                         max_size=len(model.points))))
+    width = distinct_pairs(model, mu)
+    assert 1 <= width <= 40
+    block = 2**17 // width - 1
+    ref, done = mu, 0
+    for n in sorted({0, 1, block - 1, block, block + 1, 2 * block + 3}):
+        ref, done = oracles.iterate_stepwise(model, ref, n - done), n
+        assert iterate_stepwise(model, mu, n).tobytes() == ref.tobytes()
+
+
+def test_stepwise_matches_reference_on_many_distinct_entries():
+    # 15,130 distinct pairs: the first blocks hold 7 steps each.
+    model = build_grid(2, 10**4)
+    mu = uniform_weights(model)
+    assert distinct_pairs(model, mu) == 15130
+    assert iterate_stepwise(model, mu, 1000).tobytes() == \
+        oracles.iterate_stepwise(model, mu, 1000).tobytes()
+
+
+@pytest.mark.parametrize("points", range(1, 9))
+def test_stepwise_matches_reference_on_small_supports(points):
+    # A measure on a few off-pi points, each with its own value: after the
+    # first block only the pi entries and these points are live.
+    model = build_grid(2, 100)
+    rng = np.random.default_rng(points)
+    off = np.flatnonzero(model.diagonal != 1.0)
+    mu = np.zeros(len(model.points))
+    mu[rng.choice(off, points, replace=False)] = rng.random(points)
+    for n in (1, 2**17 // distinct_pairs(model, mu) + 1, 10**5):
+        assert iterate_stepwise(model, mu, n).tobytes() == \
+            oracles.iterate_stepwise(model, mu, n).tobytes()
+
+
+def test_stepwise_keeps_a_nan_mass_on_pi():
+    # NaN * 1.0 keeps the bits of NaN, payload too, though NaN != NaN.
+    model = build_grid(1, 10)
+    mu = uniform_weights(model)
+    mu[0] = np.uint64(0x7FF8000000000123).view(np.float64)
+    out = iterate_stepwise(model, mu, 3)
+    assert out[:1].tobytes() == mu[:1].tobytes()
+    assert out.tobytes() == oracles.iterate_stepwise(model, mu, 3).tobytes()
+
+
 class MultiplyWidths:
-    """``np.multiply`` recording the width of each call, and the number of
-    entries each accumulate along ``axis=1`` steps: its rows."""
+    """``np.multiply`` recording the width of each reduce along ``axis=0``,
+    one per block: the live entries that block steps."""
 
     multiply = np.multiply
 
     def __init__(self):
         self.widths = []
 
-    def __call__(self, values, factors, out=None):
-        self.widths.append(np.shape(factors)[-1])
-        return self.multiply(values, factors, out=out)
+    def reduce(self, rows, axis=0, out=None):
+        assert axis == 0
+        self.widths.append(rows.shape[1])
+        return self.multiply.reduce(rows, axis=axis, out=out)
 
     def accumulate(self, rows, axis=0, out=None):
-        assert axis == 1
-        self.widths.append(rows.shape[0])
         return self.multiply.accumulate(rows, axis=axis, out=out)
 
 
@@ -286,7 +356,7 @@ def test_stepwise_multiplies_distinct_live_entries_only(monkeypatch):
         patch.setattr(np, "multiply", widths)
         final = iterate_stepwise(model, mu, 10**5)
     assert max(widths.widths) == distinct
-    # Each block but the last fills the 1 MiB buffer: one row per live
+    # Each block but the last fills the 1 MiB buffer: one column per live
     # entry, its start value and then its steps.
     s = sum(2**17 // width - 1 for width in widths.widths[:-1])
     assert s < 10**5 <= s + 2**17 // widths.widths[-1] - 1
@@ -334,9 +404,10 @@ class LateFault:
     """``np.multiply`` whose factors of exactly 1.0, the pi entries of the
     diagonal, multiply as ``off_by_one_ulp``'s from the ``step``-th step
     on.  A call is one step, its second operand the factors, and so is
-    each column after the first of an accumulate along ``axis=1``, so the
-    first wrong pi mass appears at that step however the steps are
-    batched: with a fixed diagonal it always appears at step 1."""
+    each row after the first of an accumulate along ``axis=0``, the one
+    that steps the pi entries for their check; a reduce passes through.
+    So the first wrong pi mass appears at that step however the steps
+    are batched: with a fixed diagonal it always appears at step 1."""
 
     multiply = np.multiply
 
@@ -355,9 +426,12 @@ class LateFault:
         return self.multiply(values, self._factors(factors)[0], out=out)
 
     def accumulate(self, rows, axis=0, out=None):
-        assert axis == 1
-        rows = np.concatenate([rows[:, :1], self._factors(rows[:, 1:].T).T], axis=1)
-        return self.multiply.accumulate(rows, axis=1, out=out)
+        assert axis == 0
+        rows = np.concatenate([rows[:1], self._factors(rows[1:])])
+        return self.multiply.accumulate(rows, axis=0, out=out)
+
+    def reduce(self, rows, axis=0, out=None):
+        return self.multiply.reduce(rows, axis=axis, out=out)
 
 
 @pytest.mark.parametrize("stepwise", [iterate_stepwise, oracles.iterate_stepwise],
@@ -448,7 +522,8 @@ def test_golden_stepwise_bytes_and_benchmark_reports():
     finally:
         tracemalloc.stop()
     assert hashlib.sha256(final.tobytes()).hexdigest() == STEPWISE_SHA256
-    # One buffer of at most 1 MiB; the pi check reads its rows in place.
+    # One buffer of at most 1 MiB; the pi entries are stepped and checked
+    # in their columns of it, in place.
     assert peak <= 1.1 * 2**20
     for (subdivisions, tol), expected in BENCHMARK_REPORTS.items():
         model = build_grid(2, subdivisions)

@@ -233,6 +233,20 @@ def test_cesaro_trace_matches_inside_correction(word, data):
     assert cesaro_trace(word, f, ns) == old_cesaro_trace(word, f, ns)
 
 
+@settings(max_examples=150, deadline=None)
+@given(word=words, data=st.data())
+def test_cesaro_trace_matches_inside_correction_on_mixed_denominators(word, data):
+    # cesaro_trace sums f's values as integers over their least common
+    # denominator; the averages must still be the exact Fractions.
+    depth = data.draw(st.integers(1, min(3, word.length)))
+    values = data.draw(st.lists(st.fractions(-3, 3, max_denominator=12), min_size=2**depth,
+                                max_size=2**depth))
+    f = CylinderFunction(depth, tuple(values))
+    max_n = word.length - depth + 1
+    ns = data.draw(st.lists(st.integers(1, max_n), min_size=1, max_size=5))
+    assert cesaro_trace(word, f, ns) == old_cesaro_trace(word, f, ns)
+
+
 @settings(max_examples=200, deadline=None)
 @given(length=st.one_of(st.integers(1, block_boundary(7) + 8),
                         st.sampled_from(boundary_lengths(8))))
