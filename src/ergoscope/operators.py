@@ -16,7 +16,7 @@ from itertools import chain
 
 from . import rational
 from .rational import ONE, ZERO, Row
-from .systems import FiniteSystem, congruence_closure, invariant_supports
+from .systems import FiniteSystem, invariant_supports
 from .transforms import Transformation, check_int
 
 
@@ -348,14 +348,29 @@ def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
     holds iff the least states of the M lie in #M distinct components.
     lin rg(Id - S) is the annihilator of the 1_M, of dimension n - #M, and
     it complements fix(S) iff, moreover, every C holds one M.
+
+    One union-find pass over the n * g edges reads off the C.  They form
+    a congruence already, since h(z) lies in the C of z for every h, so
+    no pair of images needs merging after it.
     """
     n = sys.n
-    phi = congruence_closure(sys, [(x, g(x)) for g in sys.generator_maps for x in range(n)])
-    components = [set() for _ in range(max(phi) + 1)]
-    for x, c in enumerate(phi):
-        components[c].add(x)
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for g in sys.generator_maps:
+        for x, y in enumerate(g.images):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                root[max(rx, ry)] = min(rx, ry)
+    components = {}
+    for x in range(n):
+        components.setdefault(find(x), set()).add(x)
     supports = invariant_supports(sys)
-    separating = len({phi[min(m)] for m in supports}) == len(supports)
+    separating = len({find(min(m)) for m in supports}) == len(supports)
     return DecompositionReport(len(components), n - len(supports),
                                separating and len(supports) == len(components), separating,
-                               _indicators(n, components), _indicators(n, supports))
+                               _indicators(n, components.values()), _indicators(n, supports))

@@ -139,6 +139,23 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return padded.view(">u8").ravel().astype(np.uint64)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, sorted: one ``np.sort`` and a drop of adjacent repeats."""
+    keys = np.sort(keys)
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
+def _rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The int32 rows of degree ``n`` whose :func:`_keys` are ``keys``."""
+    if keys.dtype == np.uint64:
+        rows = keys.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - n:]
+    else:
+        rows = keys.view(np.min_scalar_type(n - 1).newbyteorder(">")).reshape(-1, n)
+    return rows.astype(np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class TransSemigroup:
     """A composition-closed set of transformations with its generator graphs.
@@ -147,8 +164,11 @@ class TransSemigroup:
     whose row i is the image tuple of element i, rows in lexicographic
     order, so two runs on the same generators produce identical objects.
     ``keys`` holds each row's :func:`_keys` entry, in the same order, so
-    ``np.searchsorted`` on it finds a row.  ``elements`` builds the
-    :class:`Transformation` objects on first use.
+    ``np.searchsorted`` on it finds a row; the images are decoded from
+    it.  A closure's ``keys`` is the array its search returns: one sorted
+    ``uint64`` per row of up to 8 bytes, sorted byte strings for wider
+    rows.  ``elements`` builds the :class:`Transformation` objects on
+    first use.
 
     ``right[i, k]`` is the index of ``elements[i] o g_k`` and ``left[i, k]``
     the index of ``g_k o elements[i]``, where ``g_k`` is the element at
@@ -159,6 +179,7 @@ class TransSemigroup:
 
     images: np.ndarray
     generator_indices: tuple[int, ...]
+    keys: np.ndarray
 
     @property
     def size(self) -> int:
@@ -177,10 +198,6 @@ class TransSemigroup:
         """Rank of every element: the number of distinct values in its row."""
         ordered = np.sort(self.images, axis=1)
         return 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        return _keys(self.images)
 
     @cached_property
     def right(self) -> np.ndarray:
@@ -205,20 +222,15 @@ class TransSemigroup:
         return i
 
 
-def _semigroup(rows: np.ndarray, gen_rows: np.ndarray) -> TransSemigroup:
-    """The semigroup on the distinct ``rows``, in key order, that ``gen_rows`` generate."""
-    keys = _keys(rows)
-    order = np.argsort(keys)
-    keys = keys[order]
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    images = rows[order[fresh]].astype(np.int32)
+def _semigroup(keys: np.ndarray, gen_rows: np.ndarray) -> TransSemigroup:
+    """The semigroup on the rows of the sorted distinct ``keys`` that ``gen_rows`` generate."""
+    images = _rows(keys, gen_rows.shape[1])
     images.setflags(write=False)
-    generator_indices = tuple(sorted(set(np.searchsorted(keys[fresh], _keys(gen_rows)).tolist())))
-    return TransSemigroup(images, generator_indices)
+    generator_indices = tuple(sorted(set(np.searchsorted(keys, _keys(gen_rows)).tolist())))
+    return TransSemigroup(images, generator_indices, keys)
 
 
-def _search(gen_rows: np.ndarray, cap: int) -> np.ndarray:
+def _set_search(gen_rows: np.ndarray, cap: int) -> np.ndarray:
     """Every row reached from ``gen_rows`` by right generator steps, once each.
 
     One set holds the bytes of every row found, in :func:`_big_endian`
@@ -239,6 +251,51 @@ def _search(gen_rows: np.ndarray, cap: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
+def _search(gen_rows: np.ndarray, cap: int) -> np.ndarray:
+    """The sorted :func:`_keys` of every row reached from ``gen_rows`` by
+    right generator steps, once each.
+
+    A row of up to 8 bytes (n <= 8) is one ``uint64`` key, and the keys
+    found so far are one sorted array.  Per breadth-first level, one
+    ``np.take`` on the last level's key bytes gives the candidate keys;
+    they are sorted, so their repeats are adjacent (``np.unique`` costs
+    ten times as much) and one ``np.searchsorted`` with these sorted
+    needles finds those already found; and a stable sort merges the new
+    keys, appended, into the found ones.  Wider rows go to
+    :func:`_set_search` and are sorted once at the end.  Both paths check
+    the cap after every level.
+    """
+    n = gen_rows.shape[1]
+    if n > 8:
+        return np.sort(_keys(_set_search(gen_rows, cap)))
+    # Little-endian byte b of a key is row entry n - 1 - b, and bytes n..7
+    # are zero; so byte b of the key of r o g is byte n - 1 - g[n - 1 - b]
+    # of r's key for b < n, and byte 7 for the rest.
+    gather = np.full((len(gen_rows), 8), 7)
+    gather[:, :n] = n - 1 - gen_rows[:, ::-1]
+    gather = gather.ravel()
+    seen = level = _distinct(_keys(gen_rows))
+    found = len(seen)  # seen[:found] holds the keys; the rest is spare room
+    while len(level):
+        if found > cap:
+            raise SizeCapError(f"semigroup closure exceeds element cap {cap}")
+        level_bytes = level.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        candidates = np.sort(np.take(level_bytes, gather, axis=1).view("<u8").ravel())
+        known = seen[:found]
+        # known[at - 1] is the greatest known key <= the candidate; for at = 0
+        # it is known[-1], the greatest of all, which exceeds the candidate.
+        at = np.searchsorted(known, candidates, side="right")
+        fresh = known[at - 1] != candidates
+        fresh[1:] &= candidates[1:] != candidates[:-1]
+        level = candidates[fresh]
+        if found + len(level) > len(seen):
+            seen = np.concatenate((known, np.empty(found + len(level), np.uint64)))
+        seen[found:found + len(level)] = level
+        found += len(level)
+        seen[:found].sort(kind="stable")
+    return seen[:found]
+
+
 def generate_closure(
     generators, max_elements: int | None = None
 ) -> TransSemigroup:
@@ -247,8 +304,10 @@ def generate_closure(
     A breadth-first search over right translates, which reach the whole
     closure since every product of generators is a chain of them:
     ``F[:, g]`` composes a whole frontier ``F`` with a generator ``g``.
-    The search (:func:`_search`) keeps one set of the bytes of every row
-    found so far, as Froidure & Pin (1997) keep one table of the elements.
+    The search (:func:`_search`) keeps every row found so far in one
+    table, as Froidure & Pin (1997) keep one table of the elements: a
+    sorted ``uint64`` key array for rows of up to 8 bytes, a set of row
+    bytes for wider rows.  The images are decoded from its sorted keys.
     The generator graphs are not built here: each is built on its first
     read.
 
@@ -348,8 +407,9 @@ def _image_morphism(sg: TransSemigroup, images: np.ndarray) -> SemigroupMorphism
     for k, g in enumerate(sg.generator_indices):
         if not np.array_equal(images[sg.right[:, k]], images[:, images[g]]):
             raise AssertionError("induced map failed multiplicativity check")
-    target = _semigroup(images, images[list(sg.generator_indices)])
-    element_map = tuple(np.searchsorted(target.keys, _keys(images)).tolist())
+    keys = _keys(images)
+    target = _semigroup(_distinct(keys), images[list(sg.generator_indices)])
+    element_map = tuple(np.searchsorted(target.keys, keys).tolist())
     return SemigroupMorphism(target, element_map, sg.size * len(sg.generator_indices))
 
 
