@@ -16,7 +16,7 @@ from itertools import chain
 
 from . import rational
 from .rational import ONE, ZERO, Row
-from .systems import FiniteSystem, invariant_supports
+from .systems import FiniteSystem, invariant_supports, least_members
 from .transforms import Transformation, check_int
 
 
@@ -160,6 +160,8 @@ class Measure:
     weights: Row
 
     def __post_init__(self):
+        for w in self.weights:
+            rational.check_rational(w, "weight")
         if any(w < 0 for w in self.weights):
             raise ValueError("negative mass")
         if sum(self.weights) != 1:
@@ -305,12 +307,7 @@ def separation_check(fix_functions, fix_measures) -> bool:
     computation of the pairing matrix, for any two bases.  On its indicator
     bases ``decomposition_check`` decides the same by a count instead.
     """
-    fix_functions = list(fix_functions)
     fix_measures = list(fix_measures)
-    if not fix_measures:
-        return True
-    if not fix_functions:
-        return False
     gram = [
         tuple(sum(a * b for a, b in zip(f, mu, strict=True)) for mu in fix_measures)
         for f in fix_functions
@@ -349,28 +346,18 @@ def decomposition_check(sys: FiniteSystem) -> DecompositionReport:
     lin rg(Id - S) is the annihilator of the 1_M, of dimension n - #M, and
     it complements fix(S) iff, moreover, every C holds one M.
 
-    One union-find pass over the n * g edges reads off the C.  They form
-    a congruence already, since h(z) lies in the C of z for every h, so
-    no pair of images needs merging after it.
+    ``least_members``, the union-find of ``congruence_closure``, reads
+    off the C from the n * g edges, with no maps: the C form a congruence
+    already, since h(z) lies in the C of z for every h.
     """
     n = sys.n
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    for g in sys.generator_maps:
-        for x, y in enumerate(g.images):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                root[max(rx, ry)] = min(rx, ry)
+    least = least_members(n, chain.from_iterable(enumerate(g.images)
+                                                 for g in sys.generator_maps))
     components = {}
-    for x in range(n):
-        components.setdefault(find(x), set()).add(x)
+    for x, r in enumerate(least):
+        components.setdefault(r, set()).add(x)
     supports = invariant_supports(sys)
-    separating = len({find(min(m)) for m in supports}) == len(supports)
+    separating = len({least[min(m)] for m in supports}) == len(supports)
     return DecompositionReport(len(components), n - len(supports),
                                separating and len(supports) == len(components), separating,
                                _indicators(n, components.values()), _indicators(n, supports))

@@ -12,6 +12,7 @@ float only for display.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,6 +20,13 @@ Row = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def check_rational(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a rational number (not a bool)."""
+    if type(value) not in (Fraction, int) and (isinstance(value, bool)
+                                              or not isinstance(value, numbers.Rational)):
+        raise ValueError(f"need a rational {name}, got {value!r}")
 
 
 def identity_rows(n: int) -> tuple[Row, ...]:
@@ -113,8 +121,6 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 def nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> tuple[Row, ...]:
     """Canonical basis of {v : A v = 0}, one vector per free column."""
-    if not rows:
-        return identity_rows(n_cols)
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 
-from .rational import integer_form
+from .rational import check_rational, integer_form
 from .systems import FiniteSystem, strong_components
 from .transforms import Transformation, check_int
 
@@ -285,6 +285,9 @@ class CylinderFunction:
     values: tuple[Fraction, ...]  # indexed by the window read as binary
 
     def __post_init__(self):
+        check_int(self.depth, "depth", 0)
+        for v in self.values:
+            check_rational(v, "value")
         if len(self.values) != 2**self.depth:
             raise ValueError("need one value per length-depth 0/1 word")
 

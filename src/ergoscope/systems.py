@@ -6,6 +6,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .transforms import Transformation, check_int
 
@@ -42,6 +43,30 @@ def strong_components(nodes, successors) -> list[list]:
                 elif low[v] < low[work[-1][0]]:  # below its own position: v has a parent
                     low[work[-1][0]] = low[v]
     return found
+
+
+def least_members(n: int, pairs, maps=()) -> list[int]:
+    """Each state's least class member in the finest partition of range(n)
+    that joins every pair and that each image tuple m in ``maps`` respects
+    (x ~ y gives m[x] ~ m[y]).  A union-find with path halving keeps the
+    smaller root, so a root is its class's least state; merging roots x and
+    y queues each (m[x], m[y]), since the merged pairs link every class."""
+    root, work = list(range(n)), []
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for x, y in chain(pairs, work):  # a list iterator sees what is queued on it
+        x, y = find(x), find(y)
+        if x != y:
+            root[max(x, y)] = min(x, y)
+            for m in maps:
+                work.append((m[x], m[y]))
+    for x in range(n):  # root[x] <= x, so root[x] already points at its root
+        root[x] = root[root[x]]
+    return root
 
 
 @dataclass(frozen=True)
@@ -227,31 +252,9 @@ def congruence_closure(sys: FiniteSystem, pairs) -> tuple[int, ...]:
     Returns phi as a tuple mapping each state to its class index; classes
     are numbered by least member, so the output is canonical.
     """
-    parent = list(range(sys.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
-    work = [tuple(p) for p in pairs]
-    for x in (x for p in work for x in p):
+    pairs = [tuple(p) for p in pairs]
+    for x in (x for p in pairs for x in p):
         _check_state(sys, x)
-    while work:
-        x, y = work.pop()
-        if union(x, y):
-            for g in sys.generator_maps:
-                work.append((g(x), g(y)))
-    roots = sorted({find(x) for x in range(sys.n)})
-    renumber = {r: i for i, r in enumerate(roots)}
-    return tuple(renumber[find(x)] for x in range(sys.n))
+    least = least_members(sys.n, pairs, [g.images for g in sys.generator_maps])
+    number = {}  # the first state met in a class is its least member
+    return tuple(number.setdefault(r, len(number)) for r in least)
